@@ -18,6 +18,7 @@ import numpy as np
 
 from . import harness
 from .discrepancy import DwmdConfig, cmd, dwmd, mmd_rbf, smd
+from .weighting import C_POLICIES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,9 +41,7 @@ def _build_parser():
     p_disc.add_argument("--psi", type=float, default=1.0)
     p_disc.add_argument("--beta", type=float, default=1.0)
     p_disc.add_argument("--c", type=float, default=0.05)
-    p_disc.add_argument(
-        "--c-policy", choices=["scalar", "tau_first", "tau_vector"], default="scalar"
-    )
+    p_disc.add_argument("--c-policy", choices=C_POLICIES, default="scalar")
     p_disc.add_argument("--alpha", type=float, default=0.1)
     p_disc.add_argument("--standardize", action="store_true")
     p_disc.add_argument("--bandwidth", default="median", help="mmd bandwidth or 'median'")
@@ -211,6 +210,9 @@ def main(argv=None):
         return handlers[args.command](args)
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
         print(f"dwmd: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"dwmd: error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

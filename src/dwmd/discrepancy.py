@@ -20,11 +20,11 @@ import numpy as np
 from .moments import (
     central_moments,
     check_same_width,
+    pooled_mean_scale,
     raw_moments,
-    standardize_pooled,
     validate_samples,
 )
-from .weighting import WeightProfile, weight_profile
+from .weighting import C_POLICIES, WeightProfile, weight_profile
 
 __all__ = [
     "DwmdConfig",
@@ -77,6 +77,10 @@ class DwmdConfig:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if not 0.0 <= self.alpha < 0.5:
             raise ValueError(f"alpha must be in [0, 0.5), got {self.alpha}")
+        if self.c_policy not in C_POLICIES:
+            raise ValueError(f"unknown c_policy {self.c_policy!r}")
+        if self.c_policy == "scalar" and (self.c_value is None or not self.c_value > 0.0):
+            raise ValueError(f"scalar C policy needs c_value > 0, got {self.c_value}")
 
 
 @dataclass
@@ -96,26 +100,25 @@ class DiscrepancyReport:
     weight_profile: WeightProfile
 
 
-def _series_terms(delta, profile, config):
-    """The (n, d) weighted-fraction terms for a moment-gap matrix."""
+def _report(delta, profile, config):
+    """The per-order report for a moment-gap matrix, plus the |gap| matrix
+    (zeroed below DELTA_UNDERFLOW), |gap|^beta and the (n, d) order weights,
+    which the gradient reuses."""
     gap = np.abs(delta)
     gap = np.where(gap < DELTA_UNDERFLOW, 0.0, gap)
     powered = gap**config.beta
     orders = np.arange(1, config.n + 1, dtype=np.float64)[:, None]
     weights = np.exp(-config.psi * orders / profile.tau_normalized[None, :])
-    return weights * powered / (profile.c_resolved + powered)
-
-
-def _build_report(delta, profile, config):
-    terms = _series_terms(delta, profile, config)
+    terms = weights * powered / (profile.c_resolved + powered)
     per_order_totals = terms.sum(axis=1)
-    return DiscrepancyReport(
+    report = DiscrepancyReport(
         per_order_terms=terms,
         per_order_totals=per_order_totals,
         total=float(per_order_totals.sum()),
         truncation_bound=truncation_bound(profile, config.psi, config.n),
         weight_profile=profile,
     )
+    return report, gap, powered, weights
 
 
 def truncation_bound(profile, psi, n):
@@ -136,15 +139,62 @@ def truncation_bound(profile, psi, n):
     return float(ratio ** (n + 1) / (1.0 - ratio))
 
 
-def _prepare(source, target, config, profile=None):
+def _series(source, target, config=None, frozen=None, uniform=False, with_gradient=False):
+    """The series kernel: validate and (optionally) standardize the samples,
+    build the weight profile unless a frozen one is given, and evaluate the
+    report. uniform replaces the normalized weight vector by its component
+    average (SMD). Returns the report, or (report, grad_source, grad_target)
+    when with_gradient is set; the gradient holds the weight profile and the
+    pooled standardization statistics constant, since the trimming estimator
+    is piecewise constant in the samples.
+    """
+    config = config or DwmdConfig()
     s = validate_samples(source, "source")
     t = validate_samples(target, "target")
     check_same_width(s, t)
     if config.standardize:
-        s, t = standardize_pooled(s, t)
+        mu, scale = pooled_mean_scale(s, t)
+        s = (s - mu) / scale
+        t = (t - mu) / scale
+    profile = frozen
     if profile is None:
         profile = weight_profile(s, t, config.alpha, config.c_policy, config.c_value)
-    return s, t, profile
+    if uniform:
+        tau_c = float(profile.tau_normalized.mean())
+        profile = replace(profile, tau_normalized=np.full(profile.d, tau_c))
+
+    delta = raw_moments(s, config.n) - raw_moments(t, config.n)
+    report, gap, powered, weights = _report(delta, profile, config)
+    if not with_gradient:
+        return report
+
+    # d(term)/d(gap) = beta * gap^(beta-1) * C / (C + gap^beta)^2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dfrac = (
+            config.beta
+            * gap ** (config.beta - 1.0)
+            * profile.c_resolved
+            / (profile.c_resolved + powered) ** 2
+        )
+    dfrac = np.where(gap == 0.0, 0.0, np.clip(dfrac, None, GRAD_CLIP))
+
+    # Chain through the empirical raw moments: dE[X^k]/dx_ij = k x_ij^(k-1) / m.
+    coeff = weights * dfrac * np.sign(delta) * np.arange(1, config.n + 1)[:, None]
+    grad_s = np.zeros_like(s)
+    grad_t = np.zeros_like(t)
+    power_s = np.ones_like(s)
+    power_t = np.ones_like(t)
+    for k in range(config.n):
+        grad_s += coeff[k] * power_s
+        grad_t += coeff[k] * power_t
+        power_s = power_s * s
+        power_t = power_t * t
+    grad_s /= s.shape[0]
+    grad_t /= -t.shape[0]
+    if config.standardize:
+        grad_s /= scale
+        grad_t /= scale
+    return report, grad_s, grad_t
 
 
 def dwmd(source, target, config=None, profile=None):
@@ -154,10 +204,7 @@ def dwmd(source, target, config=None, profile=None):
     A caller-supplied profile freezes the weights instead of recomputing
     them from the data (the fixed-weight form the gradient differentiates).
     """
-    config = config or DwmdConfig()
-    s, t, profile = _prepare(source, target, config, profile)
-    delta = raw_moments(s, config.n) - raw_moments(t, config.n)
-    return _build_report(delta, profile, config)
+    return _series(source, target, config, profile)
 
 
 def dwmd_from_moments(moments_source, moments_target, profile, config):
@@ -171,96 +218,24 @@ def dwmd_from_moments(moments_source, moments_target, profile, config):
         raise ValueError(
             f"moment sequences of shape {a.shape} do not match n={config.n}, d={profile.d}"
         )
-    return _build_report(a - b, profile, config)
-
-
-def _uniform_profile(profile):
-    """Replace the normalized weight vector by its component average."""
-    tau_c = float(profile.tau_normalized.mean())
-    return replace(profile, tau_normalized=np.full(profile.d, tau_c))
+    return _report(a - b, profile, config)[0]
 
 
 def smd(source, target, config=None, profile=None):
     """Uniform-weight variant: the normalized weight vector is replaced by
     the constant vector holding its component average."""
-    config = config or DwmdConfig()
-    s, t, profile = _prepare(source, target, config, profile)
-    delta = raw_moments(s, config.n) - raw_moments(t, config.n)
-    return _build_report(delta, _uniform_profile(profile), config)
-
-
-def _series_gradient(source, target, config, profile_transform=None, profile=None):
-    """Shared gradient path for the weighted and uniform-weight series.
-
-    The weight profile (and the pooled standardization statistics, when
-    enabled) are treated as constants: the trimming estimator is piecewise
-    constant in the samples, so no useful gradient flows through it.
-    """
-    s = validate_samples(source, "source")
-    t = validate_samples(target, "target")
-    check_same_width(s, t)
-    scale = None
-    if config.standardize:
-        pooled = np.vstack([s, t])
-        sd = pooled.std(axis=0)
-        scale = np.where(sd > 0.0, sd, 1.0)
-        mu = pooled.mean(axis=0)
-        s = (s - mu) / scale
-        t = (t - mu) / scale
-    if profile is None:
-        profile = weight_profile(s, t, config.alpha, config.c_policy, config.c_value)
-    if profile_transform is not None:
-        profile = profile_transform(profile)
-
-    delta = raw_moments(s, config.n) - raw_moments(t, config.n)
-    gap = np.abs(delta)
-    zero = gap < DELTA_UNDERFLOW
-    gap = np.where(zero, 0.0, gap)
-    powered = gap**config.beta
-    orders = np.arange(1, config.n + 1, dtype=np.float64)[:, None]
-    weights = np.exp(-config.psi * orders / profile.tau_normalized[None, :])
-
-    # d(term)/d(gap) = beta * gap^(beta-1) * C / (C + gap^beta)^2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dfrac = (
-            config.beta
-            * gap ** (config.beta - 1.0)
-            * profile.c_resolved
-            / (profile.c_resolved + powered) ** 2
-        )
-    dfrac = np.where(zero, 0.0, np.clip(dfrac, None, GRAD_CLIP))
-    dterm_ddelta = weights * dfrac * np.sign(delta)
-
-    # Chain through the empirical raw moments: dE[X^k]/dx_ij = k x_ij^(k-1) / m.
-    coeff = dterm_ddelta * orders
-    grad_s = np.zeros_like(s)
-    grad_t = np.zeros_like(t)
-    power_s = np.ones_like(s)
-    power_t = np.ones_like(t)
-    for k in range(config.n):
-        grad_s += coeff[k] * power_s
-        grad_t += coeff[k] * power_t
-        power_s = power_s * s
-        power_t = power_t * t
-    grad_s /= s.shape[0]
-    grad_t /= -t.shape[0]
-    if scale is not None:
-        grad_s /= scale
-        grad_t /= scale
-    return grad_s, grad_t
+    return _series(source, target, config, profile, uniform=True)
 
 
 def dwmd_gradient(source, target, config=None, profile=None):
     """Partial derivatives of the series total with respect to every source
     and target entry (weight profile held constant)."""
-    config = config or DwmdConfig()
-    return _series_gradient(source, target, config, profile=profile)
+    return _series(source, target, config, profile, with_gradient=True)[1:]
 
 
 def smd_gradient(source, target, config=None, profile=None):
     """Gradient of the uniform-weight variant."""
-    config = config or DwmdConfig()
-    return _series_gradient(source, target, config, _uniform_profile, profile=profile)
+    return _series(source, target, config, profile, uniform=True, with_gradient=True)[1:]
 
 
 def _cmd_widths(source, target):

@@ -136,7 +136,8 @@ def load_csv(path, label_column=None):
 
     Returns (matrix, labels) where labels is None unless label_column names a
     column, which is then parsed as integers and excluded from the features.
-    Errors carry row/column coordinates (1-based, header = row 1).
+    Non-numeric and non-finite (nan, inf) feature cells are rejected. Errors
+    carry row/column coordinates (1-based, header = row 1).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -177,6 +178,12 @@ def load_csv(path, label_column=None):
     if not rows:
         raise ValueError(f"{path}: no data rows")
     matrix = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(matrix).all():
+        i, j = np.argwhere(~np.isfinite(matrix))[0]
+        col = j + 1 if label_idx is None or j < label_idx else j + 2
+        raise ValueError(
+            f"{path}: row {i + 2}, column {col}: {str(matrix[i, j])!r} is not finite"
+        )
     return matrix, (np.asarray(labels, dtype=np.int64) if label_idx is not None else None)
 
 

@@ -107,8 +107,13 @@ def standardize_pooled(source, target):
     s = validate_samples(source, "source")
     t = validate_samples(target, "target")
     check_same_width(s, t)
-    pooled = np.vstack([s, t])
-    mu = pooled.mean(axis=0)
-    sd = pooled.std(axis=0)
-    scale = np.where(sd > 0.0, sd, 1.0)
+    mu, scale = pooled_mean_scale(s, t)
     return (s - mu) / scale, (t - mu) / scale
+
+
+def pooled_mean_scale(source, target):
+    """Per-dimension mean and scale of the union of two validated matrices;
+    the scale is the population std, or 1 where that std is 0."""
+    pooled = np.vstack([source, target])
+    sd = pooled.std(axis=0)
+    return pooled.mean(axis=0), np.where(sd > 0.0, sd, 1.0)

@@ -159,25 +159,21 @@ def forward(model, batch):
     return hiddens, probs
 
 
-def _regularizer_terms(cfg, a_s, a_t, profile=None):
+def _regularizer_terms(cfg, a_s, a_t, frozen=None):
     """Value and activation gradients of the chosen regularizer on one
-    matched layer's source/target activations. A frozen profile bypasses the
-    per-batch recomputation of the data-derived constants (the weight
-    profile for dwmd/smd, the width vector for cmd); gradient-checking
+    matched layer's source/target activations, from one call. frozen pins
+    the data-derived constants instead of recomputing them from the batch:
+    a WeightProfile for dwmd/smd, a width vector for cmd; gradient-checking
     tests rely on this."""
-    if cfg.regularizer == "dwmd":
-        value = disc.dwmd(a_s, a_t, cfg.dwmd, profile=profile).total
-        g_s, g_t = disc.dwmd_gradient(a_s, a_t, cfg.dwmd, profile=profile)
-    elif cfg.regularizer == "smd":
-        value = disc.smd(a_s, a_t, cfg.dwmd, profile=profile).total
-        g_s, g_t = disc.smd_gradient(a_s, a_t, cfg.dwmd, profile=profile)
-    elif cfg.regularizer == "cmd":
-        value, g_s, g_t = disc.cmd_with_gradient(a_s, a_t, cfg.cmd_order, widths=profile)
-    elif cfg.regularizer == "mmd":
-        value, g_s, g_t = disc.mmd_rbf_with_gradient(a_s, a_t, cfg.mmd_bandwidth)
-    else:
-        raise ValueError(f"unknown regularizer {cfg.regularizer!r}")
-    return value, g_s, g_t
+    if cfg.regularizer in ("dwmd", "smd"):
+        uniform = cfg.regularizer == "smd"
+        report, g_s, g_t = disc._series(a_s, a_t, cfg.dwmd, frozen, uniform, with_gradient=True)
+        return report.total, g_s, g_t
+    if cfg.regularizer == "cmd":
+        return disc.cmd_with_gradient(a_s, a_t, cfg.cmd_order, widths=frozen)
+    if cfg.regularizer == "mmd":
+        return disc.mmd_rbf_with_gradient(a_s, a_t, cfg.mmd_bandwidth)
+    raise ValueError(f"unknown regularizer {cfg.regularizer!r}")
 
 
 def _backward(model, x, hiddens, delta_out, external):
@@ -215,8 +211,9 @@ def objective_gradient(model, x_s, y_s, x_t, cfg, frozen_profiles=None):
     The loss is mean cross-entropy on the source batch plus lambda times the
     summed regularizer values; the weight profile inside the regularizer is
     recomputed from the batch activations and held constant (stop-gradient).
-    frozen_profiles (layer -> WeightProfile) pins the weights entirely, which
-    is the form finite-difference checks differentiate.
+    frozen_profiles maps a matched layer to the constants to pin instead: a
+    WeightProfile for dwmd/smd, or a width vector for cmd. This is the form
+    finite-difference checks differentiate.
     """
     hid_s, probs = forward(model, x_s)
     m_b = x_s.shape[0]
@@ -230,8 +227,8 @@ def objective_gradient(model, x_s, y_s, x_t, cfg, frozen_profiles=None):
     if cfg.lam > 0.0 and cfg.regularizer != "none":
         hid_t, _ = forward(model, x_t)
         for layer in model.spec.matched_layers:
-            profile = frozen_profiles.get(layer) if frozen_profiles else None
-            value, g_s, g_t = _regularizer_terms(cfg, hid_s[layer], hid_t[layer], profile)
+            frozen = frozen_profiles.get(layer) if frozen_profiles else None
+            value, g_s, g_t = _regularizer_terms(cfg, hid_s[layer], hid_t[layer], frozen)
             reg_values[layer] = value
             ext_s[layer] = cfg.lam * g_s
             ext_t[layer] = cfg.lam * g_t

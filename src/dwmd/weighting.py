@@ -24,6 +24,8 @@ __all__ = ["WeightProfile", "robust_dim_means", "weight_profile", "TAU_FLOOR", "
 TAU_FLOOR = 1e-6
 # Floor for C under the tau-derived policies (C must stay strictly positive).
 C_FLOOR = 1e-8
+# The ways the series constant C can be resolved (see resolve_c).
+C_POLICIES = ("scalar", "tau_first", "tau_vector")
 
 
 @dataclass(frozen=True)

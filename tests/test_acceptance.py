@@ -6,6 +6,7 @@ them explicitly.
 """
 
 import filecmp
+import os
 import time
 
 import numpy as np
@@ -274,5 +275,7 @@ class TestDeterminism:
         first, second = tmp_path / "first", tmp_path / "second"
         write_report(run_experiment(experiment), first)
         write_report(run_experiment(experiment), second)
-        identical = filecmp.cmp(first / "per_seed.csv", second / "per_seed.csv", shallow=False)
+        names = sorted(os.listdir(first))
+        _, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
+        identical = names == sorted(os.listdir(second)) and not mismatch and not errors
         announce(9, "determinism", identical)

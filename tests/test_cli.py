@@ -106,6 +106,16 @@ class TestDiscrepancy:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_out_of_memory_exit_2(self, one_dim_pair, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 11.9 GiB")
+
+        monkeypatch.setattr("dwmd.cli.mmd_rbf", exhausted)
+        source, target = one_dim_pair
+        code = main(["discrepancy", "--source", source, "--target", target, "--metric", "mmd"])
+        assert code == 2
+        assert "dwmd: error: out of memory: Unable to allocate 11.9 GiB" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_flag_exit_1(self):

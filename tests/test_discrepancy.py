@@ -242,6 +242,10 @@ class TestConfigValidation:
             {"beta": 0.0},
             {"beta": 1.5},
             {"alpha": 0.5},
+            {"c_policy": "bogus"},
+            {"c_policy": "bogus", "c_value": -1.0},
+            {"c_value": 0.0},
+            {"c_value": -1.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -130,6 +130,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="row 3, column 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_file_and_coordinates(self, tmp_path, cell):
+        path = tmp_path / "x.csv"
+        path.write_text(f"f0,label,f1\n1,0,2\n3,1,{cell}\n")
+        with pytest.raises(ValueError, match=f"x.csv: row 3, column 3: '{cell}' is not finite"):
+            load_csv(path, "label")
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("a,b\n1,2\n")

@@ -125,6 +125,25 @@ class TestObjectiveGradient:
                     worst = max(worst, abs(grad_w[i][idx] - fd) / abs(fd))
         assert worst < 1e-5
 
+    @pytest.mark.parametrize("regularizer", ["dwmd", "smd"])
+    def test_one_weight_profile_per_matched_layer(self, regularizer, monkeypatch):
+        import dwmd.discrepancy
+        from dwmd.weighting import weight_profile
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return weight_profile(*args, **kwargs)
+
+        monkeypatch.setattr(dwmd.discrepancy, "weight_profile", counted)
+        spec = tiny_spec(layer_sizes=(2, 4, 3, 2), activations=("sigmoid", "relu"),
+                         matched_layers=(0, 1))
+        x_s, y_s, x_t, _ = blob_task(m=40)
+        cfg = TrainConfig(regularizer=regularizer, batch_size=40)
+        objective_gradient(init_model(spec, seed=3), x_s, y_s, x_t, cfg)
+        assert len(calls) == 2
+
 
 class TestTrainUda:
     def test_lambda_zero_equals_source_only(self):
