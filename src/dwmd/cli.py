@@ -37,7 +37,9 @@ def _build_parser():
     p_disc.add_argument("--target", required=True)
     p_disc.add_argument("--metric", choices=["dwmd", "smd", "cmd", "mmd"], default="dwmd")
     p_disc.add_argument("--label-column", default=None, help="drop this column before measuring")
-    p_disc.add_argument("--n", type=int, default=5, help="moment truncation order")
+    p_disc.add_argument(
+        "--n", type=int, default=5, help="moment truncation order (CMD's order for --metric cmd)"
+    )
     p_disc.add_argument("--psi", type=float, default=1.0)
     p_disc.add_argument("--beta", type=float, default=1.0)
     p_disc.add_argument("--c", type=float, default=0.05)

@@ -11,19 +11,18 @@ respect to the sample entries (for use as a training regularizer), the
 geometric tail bound on the truncation error, and three comparison metrics:
 the uniform-weight variant (SMD), central moment discrepancy (CMD), and a
 Gaussian-kernel MMD.
+
+Both moment gradients are power series in a sample entry: sum_k c_k x^k with
+one (order, dimension) coefficient row per power, in the raw samples for the
+series and in the centred samples for CMD. One helper, _power_series,
+evaluates them.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .moments import (
-    central_moments,
-    check_same_width,
-    pooled_mean_scale,
-    raw_moments,
-    validate_samples,
-)
+from .moments import central_moments, pooled_mean_scale, raw_moments, validate_pair
 from .weighting import C_POLICIES, WeightProfile, weight_profile
 
 __all__ = [
@@ -149,9 +148,7 @@ def _series(source, target, config=None, frozen=None, uniform=False, with_gradie
     is piecewise constant in the samples.
     """
     config = config or DwmdConfig()
-    s = validate_samples(source, "source")
-    t = validate_samples(target, "target")
-    check_same_width(s, t)
+    s, t = validate_pair(source, target)
     if config.standardize:
         mu, scale = pooled_mean_scale(s, t)
         s = (s - mu) / scale
@@ -180,21 +177,24 @@ def _series(source, target, config=None, frozen=None, uniform=False, with_gradie
 
     # Chain through the empirical raw moments: dE[X^k]/dx_ij = k x_ij^(k-1) / m.
     coeff = weights * dfrac * np.sign(delta) * np.arange(1, config.n + 1)[:, None]
-    grad_s = np.zeros_like(s)
-    grad_t = np.zeros_like(t)
-    power_s = np.ones_like(s)
-    power_t = np.ones_like(t)
-    for k in range(config.n):
-        grad_s += coeff[k] * power_s
-        grad_t += coeff[k] * power_t
-        power_s = power_s * s
-        power_t = power_t * t
-    grad_s /= s.shape[0]
-    grad_t /= -t.shape[0]
+    grad_s = _power_series(s, coeff) / s.shape[0]
+    grad_t = _power_series(t, coeff) / -t.shape[0]
     if config.standardize:
         grad_s /= scale
         grad_t /= scale
     return report, grad_s, grad_t
+
+
+def _power_series(x, coeff):
+    """Elementwise polynomial sum_k coeff[k] * x^k for a (K, d) coefficient
+    array, by running powers of x. Both gradients are evaluated here."""
+    out = np.zeros_like(x)
+    power = np.ones_like(x)
+    for k, row in enumerate(coeff):
+        if k:
+            power *= x
+        out += row * power
+    return out
 
 
 def dwmd(source, target, config=None, profile=None):
@@ -259,44 +259,35 @@ def cmd_with_gradient(source, target, k=5, widths=None):
     """CMD value and its gradient with respect to both sample matrices
     (widths held constant; pass widths explicitly to freeze them across
     calls, e.g. for finite-difference checks)."""
-    s = validate_samples(source, "source")
-    t = validate_samples(target, "target")
-    check_same_width(s, t)
+    s, t = validate_pair(source, target)
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
     if widths is None:
         widths = _cmd_widths(s, t)
     cs = central_moments(s, k)
     ct = central_moments(t, k)
-    m_s, m_t = s.shape[0], t.shape[0]
-    grad_s = np.zeros_like(s)
-    grad_t = np.zeros_like(t)
-
-    # Mean term.
-    v = (cs[0] - ct[0]) / widths
-    norm = float(np.linalg.norm(v))
-    total = norm
-    if norm > 0.0:
-        dnorm = v / (norm * widths)
-        grad_s += dnorm / m_s
-        grad_t -= dnorm / m_t
-
-    cen_s = s - cs[0]
-    cen_t = t - ct[0]
-    for order in range(2, k + 1):
-        w_pow = widths**order
-        v = (cs[order - 1] - ct[order - 1]) / w_pow
-        norm = float(np.linalg.norm(v))
+    orders = np.arange(1, k + 1)[:, None]
+    w_pow = widths**orders
+    v = (cs - ct) / w_pow
+    norms = np.array([np.linalg.norm(row) for row in v])
+    total = 0.0
+    for norm in norms.tolist():  # left to right on every Python version
         total += norm
-        if norm == 0.0:
-            continue
-        dnorm = v / (norm * w_pow)
-        # d c_order / d x_i = (order/m) * ((x_i - mu)^(order-1) - c_(order-1))
-        prev_s = 0.0 if order == 2 else cs[order - 2]
-        prev_t = 0.0 if order == 2 else ct[order - 2]
-        grad_s += dnorm * (order / m_s) * (cen_s ** (order - 1) - prev_s)
-        grad_t -= dnorm * (order / m_t) * (cen_t ** (order - 1) - prev_t)
-    return total, grad_s, grad_t
+    # d||v_o|| / dc_o, zero for an order whose gap vanishes.
+    dnorm = np.divide(
+        v, norms[:, None] * w_pow, out=np.zeros_like(v), where=norms[:, None] > 0.0
+    )
+
+    # d mu / d x_i = 1/m and, for o >= 2, d c_o / d x_i = (o/m) *
+    # ((x_i - mu)^(o-1) - c_(o-1)) with the centred c_1 = 0: each side's
+    # gradient is a power series in x - mu whose constant row absorbs the
+    # c_(o-1) terms. One side is finished before the other is started.
+    grads = []
+    for x, c, sign in ((s, cs, 1.0), (t, ct, -1.0)):
+        coeff = dnorm * (sign * orders / x.shape[0])
+        coeff[0] -= (coeff[2:] * c[1:-1]).sum(axis=0)
+        grads.append(_power_series(x - c[0], coeff))
+    return total, grads[0], grads[1]
 
 
 def _sq_dists(a, b):
@@ -325,9 +316,7 @@ def mmd_rbf(source, target, bandwidth="median"):
 def mmd_rbf_with_gradient(source, target, bandwidth="median"):
     """MMD value and its gradient with respect to both sample matrices
     (bandwidth held constant)."""
-    s = validate_samples(source, "source")
-    t = validate_samples(target, "target")
-    check_same_width(s, t)
+    s, t = validate_pair(source, target)
     if bandwidth == "median":
         sigma = median_heuristic_bandwidth(s, t)
     else:

@@ -10,12 +10,12 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .discrepancy import DwmdConfig
-from .nettrain import NetworkSpec, TrainConfig, evaluate, train_uda
+from .nettrain import NetworkSpec, TrainConfig, TrainingDiverged, evaluate, train_uda
 
 __all__ = [
     "UdaExperiment",
@@ -241,7 +241,7 @@ def run_experiment(exp):
             acc = evaluate(model, target, y_t) if y_t is not None else float("nan")
             per_seed.append({"seed": seed, "accuracy": acc})
             traces[seed] = model.history
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, TrainingDiverged) as exc:
             per_seed.append({"seed": seed, "error": str(exc)})
     accs = [r["accuracy"] for r in per_seed if "accuracy" in r]
     if not accs:
@@ -299,12 +299,6 @@ def write_report(report, out_dir):
         fh.write("\n")
 
 
-def _cfg_to_dict(cfg):
-    d = asdict(cfg)
-    d["dwmd"] = asdict(cfg.dwmd)
-    return d
-
-
 def experiment_to_dict(exp):
     """Lossless mapping of an experiment onto plain JSON-able types."""
     return {
@@ -314,14 +308,16 @@ def experiment_to_dict(exp):
             "activations": list(exp.spec.activations),
             "matched_layers": list(exp.spec.matched_layers),
         },
-        "cfg": _cfg_to_dict(exp.cfg),
+        "cfg": asdict(exp.cfg),
         "repeats": exp.repeats,
         "outputs": exp.outputs,
     }
 
 
-def _checked_kwargs(data, allowed, where):
-    unknown = set(data) - set(allowed)
+def _checked_kwargs(data, schema, where):
+    """data, after checking that every key names a field of the dataclass
+    schema."""
+    unknown = set(data) - {f.name for f in fields(schema)}
     if unknown:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
     return data
@@ -329,34 +325,11 @@ def _checked_kwargs(data, allowed, where):
 
 def experiment_from_dict(data):
     """Inverse of experiment_to_dict; unknown keys anywhere are errors."""
-    data = _checked_kwargs(
-        dict(data), ("task", "spec", "cfg", "repeats", "outputs"), "experiment"
-    )
-    spec_data = _checked_kwargs(
-        dict(data["spec"]), ("layer_sizes", "activations", "matched_layers"), "spec"
-    )
+    data = _checked_kwargs(dict(data), UdaExperiment, "experiment")
+    spec_data = _checked_kwargs(dict(data["spec"]), NetworkSpec, "spec")
     cfg_data = dict(data.get("cfg", {}))
-    dwmd_data = _checked_kwargs(
-        dict(cfg_data.pop("dwmd", {})),
-        ("n", "psi", "beta", "c_policy", "c_value", "alpha", "standardize"),
-        "cfg.dwmd",
-    )
-    cfg_data = _checked_kwargs(
-        cfg_data,
-        (
-            "lam",
-            "regularizer",
-            "cmd_order",
-            "mmd_bandwidth",
-            "epochs",
-            "batch_size",
-            "learning_rate",
-            "momentum",
-            "optimizer",
-            "seed",
-        ),
-        "cfg",
-    )
+    dwmd_data = _checked_kwargs(dict(cfg_data.pop("dwmd", {})), DwmdConfig, "cfg.dwmd")
+    cfg_data = _checked_kwargs(cfg_data, TrainConfig, "cfg")
     return UdaExperiment(
         task=dict(data["task"]),
         spec=NetworkSpec(**spec_data),

@@ -37,22 +37,38 @@ def validate_samples(samples, name="samples"):
     return arr
 
 
-def check_same_width(source, target):
-    """Raise if two sample matrices do not share the feature dimension d."""
-    if source.shape[1] != target.shape[1]:
+def validate_pair(source, target):
+    """Validate a source/target pair of sample matrices that must share the
+    feature dimension d; returns the two float64 matrices."""
+    s = validate_samples(source, "source")
+    t = validate_samples(target, "target")
+    if s.shape[1] != t.shape[1]:
         raise ValueError(
-            f"feature-dimension mismatch: source has d={source.shape[1]}, "
-            f"target has d={target.shape[1]}"
+            f"feature-dimension mismatch: source has d={s.shape[1]}, "
+            f"target has d={t.shape[1]}"
         )
+    return s, t
 
 
-def _check_finite_order(values, order, what):
-    if not np.all(np.isfinite(values)):
-        j = int(np.argwhere(~np.isfinite(values))[0, 0])
-        raise MomentOverflowError(
-            f"non-finite {what} moment at order {order}, dimension {j}; "
-            "consider standardizing the inputs"
-        )
+def _power_means(x, n, what):
+    """Column means of x^k for k = 1..n as an (n, d) array, by running
+    powers; a non-finite mean raises MomentOverflowError naming the order."""
+    if n < 1:
+        raise ValueError(f"moment order must be >= 1, got {n}")
+    out = np.empty((n, x.shape[1]), dtype=np.float64)
+    power = x
+    with np.errstate(over="ignore"):
+        for k in range(1, n + 1):
+            if k > 1:
+                power = power * x
+            out[k - 1] = power.mean(axis=0)
+            if not np.all(np.isfinite(out[k - 1])):
+                j = int(np.argwhere(~np.isfinite(out[k - 1]))[0, 0])
+                raise MomentOverflowError(
+                    f"non-finite {what} moment at order {k}, dimension {j}; "
+                    "consider standardizing the inputs"
+                )
+    return out
 
 
 def raw_moments(samples, n):
@@ -62,38 +78,16 @@ def raw_moments(samples, n):
     elementwise power. Deterministic and independent of row order (numpy's
     pairwise summation over a fixed-length axis).
     """
-    x = validate_samples(samples)
-    if n < 1:
-        raise ValueError(f"moment order must be >= 1, got {n}")
-    d = x.shape[1]
-    out = np.empty((n, d), dtype=np.float64)
-    power = np.ones_like(x)
-    with np.errstate(over="ignore"):
-        for k in range(1, n + 1):
-            power = power * x
-            out[k - 1] = power.mean(axis=0)
-            _check_finite_order(out[k - 1], k, "raw")
-    return out
+    return _power_means(validate_samples(samples), n, "raw")
 
 
 def central_moments(samples, n):
     """Per-dimension central moments: row 0 is the column mean, row k-1 for
     k >= 2 is the mean of (x - mean)^k."""
     x = validate_samples(samples)
-    if n < 1:
-        raise ValueError(f"moment order must be >= 1, got {n}")
-    d = x.shape[1]
-    out = np.empty((n, d), dtype=np.float64)
     mu = x.mean(axis=0)
+    out = _power_means(x - mu, n, "central")
     out[0] = mu
-    if n >= 2:
-        centered = x - mu
-        power = centered.copy()
-        with np.errstate(over="ignore"):
-            for k in range(2, n + 1):
-                power = power * centered
-                out[k - 1] = power.mean(axis=0)
-                _check_finite_order(out[k - 1], k, "central")
     return out
 
 
@@ -104,9 +98,7 @@ def standardize_pooled(source, target):
     Dimensions with pooled std 0 are shifted only. Returns a new pair; the
     inputs are not modified.
     """
-    s = validate_samples(source, "source")
-    t = validate_samples(target, "target")
-    check_same_width(s, t)
+    s, t = validate_pair(source, target)
     mu, scale = pooled_mean_scale(s, t)
     return (s - mu) / scale, (t - mu) / scale
 

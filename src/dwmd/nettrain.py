@@ -19,6 +19,7 @@ __all__ = [
     "NetworkSpec",
     "TrainConfig",
     "TrainedModel",
+    "TrainingDiverged",
     "init_model",
     "forward",
     "train_uda",
@@ -101,6 +102,11 @@ class TrainConfig:
                 f"batch_size {self.batch_size} too small for trimmed-mean weighting "
                 f"(need >= {MIN_TRIMMING_BATCH} per domain)"
             )
+
+
+class TrainingDiverged(RuntimeError):
+    """Training produced a non-finite loss or an overflowing moment; the
+    message names the epoch and step."""
 
 
 @dataclass
@@ -304,11 +310,11 @@ def train_uda(source, source_labels, target, spec, cfg, target_labels=None):
                     model, xb_s, yb_s, xb_t, cfg
                 )
             except FloatingPointError as exc:
-                raise RuntimeError(
+                raise TrainingDiverged(
                     f"training diverged at epoch {epoch + 1}, step {step + 1}: {exc}"
                 ) from exc
             if not np.isfinite(loss):
-                raise RuntimeError(
+                raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch + 1}, step {step + 1}; "
                     "lower the learning rate"
                 )
@@ -336,9 +342,8 @@ def train_uda(source, source_labels, target, spec, cfg, target_labels=None):
 def evaluate(model, samples, labels):
     """Fraction of argmax predictions matching the labels (ties broken
     toward the lowest class index)."""
-    x = validate_samples(samples)
+    _, probs = forward(model, samples)
     y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (x.shape[0],):
+    if y.shape != (probs.shape[0],):
         raise ValueError("labels must be one integer per sample row")
-    _, probs = forward(model, x)
     return float(np.mean(np.argmax(probs, axis=1) == y))

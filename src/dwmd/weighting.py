@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import check_same_width, validate_samples
+from .moments import validate_pair, validate_samples
 
 __all__ = ["WeightProfile", "robust_dim_means", "weight_profile", "TAU_FLOOR", "C_FLOOR"]
 
@@ -98,9 +98,7 @@ def weight_profile(source, target, alpha=0.1, c_policy="scalar", c_value=0.05):
     Symmetric in its two sample arguments. When all robust-mean gaps are zero
     the normalized vector degenerates to all-ones (uniform weighting).
     """
-    s = validate_samples(source, "source")
-    t = validate_samples(target, "target")
-    check_same_width(s, t)
+    s, t = validate_pair(source, target)
     tau = np.abs(robust_dim_means(s, alpha) - robust_dim_means(t, alpha))
     tau_max = float(tau.max())
     if tau_max > 0.0:

@@ -18,7 +18,7 @@ from dwmd.discrepancy import (
     smd,
     smd_gradient,
 )
-from dwmd.moments import standardize_pooled
+from dwmd.moments import central_moments, standardize_pooled
 from dwmd.weighting import weight_profile
 
 STEP = 1e-6
@@ -160,6 +160,20 @@ class TestBaselineGradients:
         assert max_rel_err(np.array([g_s[i] for i in idx_s]), fd_s) < 1e-5
         assert max_rel_err(np.array([g_t[i] for i in idx_t]), fd_t) < 1e-5
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_cmd_low_orders_match_finite_differences(self, k):
+        # Widths frozen at the base point, so no probed entry can move them.
+        s, t = sample_pair(seed=10 + k)
+        pooled = np.vstack([s, t])
+        widths = pooled.max(axis=0) - pooled.min(axis=0)
+        _, g_s, g_t = cmd_with_gradient(s, t, k, widths=widths)
+        idx_s, idx_t = spot_indices(s.shape), spot_indices(t.shape, seed=17)
+        fd_s, fd_t = central_diff(
+            lambda: cmd_with_gradient(s, t, k, widths=widths)[0], [s, t], [idx_s, idx_t]
+        )
+        assert max_rel_err(np.array([g_s[i] for i in idx_s]), fd_s) < 1e-5
+        assert max_rel_err(np.array([g_t[i] for i in idx_t]), fd_t) < 1e-5
+
     def test_mmd_matches_finite_differences(self):
         from dwmd.discrepancy import mmd_rbf
 
@@ -170,3 +184,71 @@ class TestBaselineGradients:
         fd_s, fd_t = central_diff(lambda: mmd_rbf(s, t, 0.9), [s, t], [idx_s, idx_t])
         assert max_rel_err(np.array([g_s[i] for i in idx_s]), fd_s) < 1e-5
         assert max_rel_err(np.array([g_t[i] for i in idx_t]), fd_t) < 1e-5
+
+
+def reference_cmd_gradient(s, t, k, widths):
+    """The order-by-order CMD gradient: the mean term, then for each order
+    o >= 2 the chain (o/m) * ((x - mu)^(o-1) - c_(o-1)) through that order's
+    central moment, skipping orders whose gap vanishes."""
+    cs, ct = central_moments(s, k), central_moments(t, k)
+    m_s, m_t = s.shape[0], t.shape[0]
+    grad_s, grad_t = np.zeros_like(s), np.zeros_like(t)
+    v = (cs[0] - ct[0]) / widths
+    norm = float(np.linalg.norm(v))
+    if norm > 0.0:
+        dnorm = v / (norm * widths)
+        grad_s += dnorm / m_s
+        grad_t -= dnorm / m_t
+    cen_s, cen_t = s - cs[0], t - ct[0]
+    for order in range(2, k + 1):
+        w_pow = widths**order
+        v = (cs[order - 1] - ct[order - 1]) / w_pow
+        norm = float(np.linalg.norm(v))
+        if norm == 0.0:
+            continue
+        dnorm = v / (norm * w_pow)
+        prev_s = 0.0 if order == 2 else cs[order - 2]
+        prev_t = 0.0 if order == 2 else ct[order - 2]
+        grad_s += dnorm * (order / m_s) * (cen_s ** (order - 1) - prev_s)
+        grad_t -= dnorm * (order / m_t) * (cen_t ** (order - 1) - prev_t)
+    return grad_s, grad_t
+
+
+class TestCmdGradientOracle:
+    """The power-series CMD gradient against the order-by-order reference."""
+
+    @staticmethod
+    def pairs():
+        s, t = sample_pair(seed=21, m_s=30, m_t=25, d=4)
+        yield "random", s, t
+        rng = np.random.default_rng(22)
+        yield "random-wide", rng.normal(size=(40, 6)), rng.gamma(2.0, 1.5, (50, 6))
+        # Integers in 16 rows: column means and the shifts below are exact.
+        x = np.random.default_rng(23).integers(-8, 9, size=(16, 4)).astype(np.float64)
+        mu = x.mean(axis=0)
+        # Same column means, doubled spread: the order-1 norm is exactly 0.
+        yield "equal-means", x, mu + 2.0 * (x - mu)
+        # Shifted copy: identical centred samples, so every norm of order
+        # >= 2 is exactly 0 and only the mean term remains.
+        yield "shifted-copy", x, x + 0.5
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_matches_reference(self, k):
+        for name, s, t in self.pairs():
+            pooled = np.vstack([s, t])
+            widths = pooled.max(axis=0) - pooled.min(axis=0)
+            _, g_s, g_t = cmd_with_gradient(s, t, k)
+            ref_s, ref_t = reference_cmd_gradient(s, t, k, widths)
+            for got, ref in ((g_s, ref_s), (g_t, ref_t)):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, err_msg=name)
+
+    def test_edge_cases_hit_zero_norms(self):
+        cases = {name: (s, t) for name, s, t in self.pairs()}
+        s, t = cases["equal-means"]
+        np.testing.assert_array_equal(central_moments(s, 1), central_moments(t, 1))
+        s, t = cases["shifted-copy"]
+        np.testing.assert_array_equal(central_moments(s, 5)[1:], central_moments(t, 5)[1:])
+        _, g_s, g_t = cmd_with_gradient(s, t, 5)
+        # Only the mean term is left: a constant gradient per column.
+        np.testing.assert_array_equal(g_s, np.broadcast_to(g_s[0], g_s.shape))
+        np.testing.assert_array_equal(g_t, -g_s)

@@ -179,6 +179,29 @@ class TestExperiment:
         with pytest.raises(RuntimeError, match="all seeds failed"):
             run_experiment(experiment_from_dict(bad))
 
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # Only data errors and divergence are recorded as failed seeds; any
+        # other RuntimeError is a bug and must reach the caller.
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr("dwmd.harness.train_uda", broken)
+        with pytest.raises(RuntimeError, match="^bug$"):
+            run_experiment(small_experiment(str(tmp_path)))
+
+    def test_divergence_recorded_as_failed_seed(self, tmp_path, monkeypatch):
+        from dwmd.nettrain import TrainingDiverged, train_uda
+
+        def diverge_on_seed_1(source, y_s, target, spec, cfg, target_labels=None):
+            if cfg.seed == 1:
+                raise TrainingDiverged("non-finite loss at epoch 1, step 1")
+            return train_uda(source, y_s, target, spec, cfg, target_labels=target_labels)
+
+        monkeypatch.setattr("dwmd.harness.train_uda", diverge_on_seed_1)
+        report = run_experiment(small_experiment(str(tmp_path)))
+        assert report.per_seed[0] == {"seed": 1, "error": "non-finite loss at epoch 1, step 1"}
+        assert "accuracy" in report.per_seed[1]
+
     def test_report_files(self, tmp_path):
         out = tmp_path / "rep"
         report = run_experiment(small_experiment(str(out)))
