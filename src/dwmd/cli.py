@@ -143,6 +143,16 @@ def _cmd_train(args):
 
 def _cmd_sweep(args):
     exp = _load_experiment(args.config)
+    reg = exp.cfg.regularizer
+    if args.param == "lam":
+        section, key = None, "lam"
+    elif args.param == "n" and reg == "cmd":
+        section, key = None, "cmd_order"
+    elif reg in ("dwmd", "smd"):
+        section, key = "dwmd", {"c": "c_value", "beta": "beta", "n": "n"}[args.param]
+    else:
+        raise ValueError(f"the {reg!r} regularizer does not read --param {args.param}")
+    parse = int if args.param == "n" else float
     out_dir = args.out or exp.outputs
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
@@ -151,14 +161,8 @@ def _cmd_sweep(args):
     rows = []
     for raw in values:
         data = harness.experiment_to_dict(exp)
-        if args.param == "c":
-            data["cfg"]["dwmd"]["c_value"] = float(raw)
-        elif args.param == "beta":
-            data["cfg"]["dwmd"]["beta"] = float(raw)
-        elif args.param == "n":
-            data["cfg"]["dwmd"]["n"] = int(raw)
-        else:
-            data["cfg"]["lam"] = float(raw)
+        cfg = data["cfg"]
+        (cfg[section] if section else cfg)[key] = parse(raw)
         point = harness.experiment_from_dict(data)
         report = harness.run_experiment(point)
         sub_dir = os.path.join(out_dir, f"{args.param}_{raw}")

@@ -15,7 +15,8 @@ Gaussian-kernel MMD.
 Both moment gradients are power series in a sample entry: sum_k c_k x^k with
 one (order, dimension) coefficient row per power, in the raw samples for the
 series and in the centred samples for CMD. One helper, _power_series,
-evaluates them.
+evaluates them by Horner's rule, in one array per sample matrix. The MMD value
+and gradient come from one pooled (m_s + m_t)^2 kernel matrix.
 """
 
 from dataclasses import dataclass, replace
@@ -177,23 +178,21 @@ def _series(source, target, config=None, frozen=None, uniform=False, with_gradie
 
     # Chain through the empirical raw moments: dE[X^k]/dx_ij = k x_ij^(k-1) / m.
     coeff = weights * dfrac * np.sign(delta) * np.arange(1, config.n + 1)[:, None]
-    grad_s = _power_series(s, coeff) / s.shape[0]
-    grad_t = _power_series(t, coeff) / -t.shape[0]
     if config.standardize:
-        grad_s /= scale
-        grad_t /= scale
+        coeff = coeff / scale
+    grad_s = _power_series(s, coeff / s.shape[0])
+    grad_t = _power_series(t, coeff / -t.shape[0])
     return report, grad_s, grad_t
 
 
 def _power_series(x, coeff):
     """Elementwise polynomial sum_k coeff[k] * x^k for a (K, d) coefficient
-    array, by running powers of x. Both gradients are evaluated here."""
-    out = np.zeros_like(x)
-    power = np.ones_like(x)
-    for k, row in enumerate(coeff):
-        if k:
-            power *= x
-        out += row * power
+    array, by Horner's rule in place. Both gradients are evaluated here."""
+    out = np.empty_like(x)
+    out[...] = coeff[-1]
+    for row in coeff[-2::-1]:
+        out *= x
+        out += row
     return out
 
 
@@ -290,25 +289,29 @@ def cmd_with_gradient(source, target, k=5, widths=None):
     return total, grads[0], grads[1]
 
 
-def _sq_dists(a, b):
-    aa = (a * a).sum(axis=1)[:, None]
-    bb = (b * b).sum(axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+def _sq_dists(x):
+    """Squared Euclidean distances between the rows of x, built in one
+    (m, m) array: -2 x x^T plus both row norms, clipped at 0."""
+    sq = x @ x.T
+    sq *= -2.0
+    norms = np.einsum("ij,ij->i", x, x)
+    sq += norms[:, None]
+    sq += norms[None, :]
+    return np.maximum(sq, 0.0, out=sq)
 
 
-def median_heuristic_bandwidth(source, target):
-    """Median pairwise Euclidean distance over the pooled samples
-    (off-diagonal pairs); falls back to 1.0 when all points coincide."""
-    pooled = np.vstack([source, target])
-    sq = _sq_dists(pooled, pooled)
-    off_diag = sq[~np.eye(len(pooled), dtype=bool)]
-    med = float(np.sqrt(np.median(off_diag))) if off_diag.size else 0.0
+def median_heuristic_bandwidth(sq):
+    """Median Euclidean distance over the distinct pairs i < j of a pooled
+    squared-distance matrix; falls back to 1.0 when all points coincide."""
+    upper = np.concatenate([row[i + 1 :] for i, row in enumerate(sq[:-1])])
+    med = float(np.sqrt(np.median(upper, overwrite_input=True)))
     return med if med > 0.0 else 1.0
 
 
 def mmd_rbf(source, target, bandwidth="median"):
     """Biased (V-statistic) Gaussian-kernel MMD: mean kernel within each
-    domain minus twice the cross mean. Nonnegative by construction."""
+    domain minus twice the cross mean. Nonnegative in exact arithmetic; the
+    computed value is clamped at 0 against rounding."""
     value, _, _ = mmd_rbf_with_gradient(source, target, bandwidth)
     return value
 
@@ -317,28 +320,21 @@ def mmd_rbf_with_gradient(source, target, bandwidth="median"):
     """MMD value and its gradient with respect to both sample matrices
     (bandwidth held constant)."""
     s, t = validate_pair(source, target)
-    if bandwidth == "median":
-        sigma = median_heuristic_bandwidth(s, t)
-    else:
-        sigma = float(bandwidth)
-        if not sigma > 0.0:
-            raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    gamma = 1.0 / (2.0 * sigma * sigma)
-    k_ss = np.exp(-gamma * _sq_dists(s, s))
-    k_tt = np.exp(-gamma * _sq_dists(t, t))
-    k_st = np.exp(-gamma * _sq_dists(s, t))
+    if bandwidth != "median" and not float(bandwidth) > 0.0:
+        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     m_s, m_t = s.shape[0], t.shape[0]
-    value = float(k_ss.mean() + k_tt.mean() - 2.0 * k_st.mean())
-
-    # d k(x, y)/dx = -(x - y)/sigma^2 * k(x, y); each within-domain pair is
-    # hit twice (the point appears as either argument).
-    inv_sq = 1.0 / (sigma * sigma)
-    grad_s = (
-        -2.0 * inv_sq / (m_s * m_s) * (k_ss.sum(axis=1)[:, None] * s - k_ss @ s)
-        + 2.0 * inv_sq / (m_s * m_t) * (k_st.sum(axis=1)[:, None] * s - k_st @ t)
-    )
-    grad_t = (
-        -2.0 * inv_sq / (m_t * m_t) * (k_tt.sum(axis=1)[:, None] * t - k_tt @ t)
-        + 2.0 * inv_sq / (m_s * m_t) * (k_st.sum(axis=0)[:, None] * t - k_st.T @ s)
-    )
-    return value, grad_s, grad_t
+    x = np.vstack([s, t])
+    kernel = _sq_dists(x)
+    sigma = median_heuristic_bandwidth(kernel) if bandwidth == "median" else float(bandwidth)
+    kernel *= -1.0 / (2.0 * sigma * sigma)
+    np.exp(kernel, out=kernel)
+    # Over the pooled rows X with signed weights w (1/m_s source, -1/m_t
+    # target) the value is w^T K w; since d k(x, y)/dx = -(x - y)/sigma^2
+    # k(x, y), the gradient is -(2/sigma^2) w * ((K w) * X - K (w * X)).
+    w = np.concatenate([np.full(m_s, 1.0 / m_s), np.full(m_t, -1.0 / m_t)])
+    kw = kernel @ w
+    value = max(float(w @ kw), 0.0)
+    grad = kw[:, None] * x
+    grad -= kernel @ (w[:, None] * x)
+    grad *= (-2.0 / (sigma * sigma)) * w[:, None]
+    return value, grad[:m_s], grad[m_s:]

@@ -84,7 +84,6 @@ class TrainConfig:
     batch_size: int = 50
     learning_rate: float = 0.5
     momentum: float = 0.0
-    optimizer: str = "sgd"
     seed: int = 1
 
     def __post_init__(self):
@@ -92,8 +91,8 @@ class TrainConfig:
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
         if self.lam < 0.0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if self.optimizer not in ("sgd", "sgd-momentum"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         needs_trimming = self.lam > 0.0 and self.regularizer in ("dwmd", "smd")
@@ -289,7 +288,7 @@ def train_uda(source, source_labels, target, spec, cfg, target_labels=None):
     )
     velocity_w = [np.zeros_like(w) for w in model.weights]
     velocity_b = [np.zeros_like(b) for b in model.biases]
-    use_momentum = cfg.optimizer == "sgd-momentum"
+    use_momentum = cfg.momentum > 0.0
 
     history = {
         "source_loss": [],

@@ -206,3 +206,41 @@ class TestTrainAndSweep:
         code = main(["sweep", "--config", config, "--param", "c", "--values", ","])
         assert code == 2
         assert "no sweep values" in capsys.readouterr().err
+
+
+def regularizer_config(tmp_path, regularizer):
+    exp = UdaExperiment(
+        task={"kind": "moons", "m_per_domain": 60, "rotation_degrees": 40.0, "noise": 0.1},
+        spec=NetworkSpec((2, 8, 2), ("sigmoid",), (0,)),
+        cfg=TrainConfig(regularizer=regularizer, epochs=1, batch_size=30, learning_rate=0.5),
+        repeats=1,
+        outputs=str(tmp_path / "report"),
+    )
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(experiment_to_dict(exp)))
+    return str(path), str(tmp_path / "report")
+
+
+class TestSweepParameters:
+    def test_n_sets_cmd_order_under_cmd(self, tmp_path, capsys):
+        config, report_dir = regularizer_config(tmp_path, "cmd")
+        code = main(["sweep", "--config", config, "--param", "n", "--values", "2,4"])
+        assert code == 0
+        for n in (2, 4):
+            snapshot = os.path.join(report_dir, f"n_{n}", "config_snapshot.json")
+            with open(snapshot, encoding="utf-8") as fh:
+                cfg = json.load(fh)["cfg"]
+            assert cfg["cmd_order"] == n
+            assert cfg["dwmd"]["n"] == TrainConfig().dwmd.n
+
+    @pytest.mark.parametrize(
+        "regularizer, param",
+        [("cmd", "c"), ("mmd", "beta"), ("none", "c"), ("mmd", "n"), ("none", "n")],
+    )
+    def test_unread_param_exit_2_names_regularizer(self, tmp_path, capsys, regularizer, param):
+        config, report_dir = regularizer_config(tmp_path, regularizer)
+        code = main(["sweep", "--config", config, "--param", param, "--values", "1,2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"'{regularizer}' regularizer" in err and f"--param {param}" in err
+        assert not os.path.exists(report_dir)

@@ -252,3 +252,91 @@ class TestCmdGradientOracle:
         # Only the mean term is left: a constant gradient per column.
         np.testing.assert_array_equal(g_s, np.broadcast_to(g_s[0], g_s.shape))
         np.testing.assert_array_equal(g_t, -g_s)
+
+
+def reference_mmd(s, t, bandwidth):
+    """The three-block MMD: source-source, target-target and cross kernel
+    blocks, each with its own hand-expanded gradient, and the median taken
+    over all off-diagonal pairs of the pooled distances."""
+
+    def sq_dists(a, b):
+        aa = (a * a).sum(axis=1)[:, None]
+        bb = (b * b).sum(axis=1)[None, :]
+        return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+
+    if bandwidth == "median":
+        pooled = np.vstack([s, t])
+        sq = sq_dists(pooled, pooled)
+        med = float(np.sqrt(np.median(sq[~np.eye(len(pooled), dtype=bool)])))
+        sigma = med if med > 0.0 else 1.0
+    else:
+        sigma = float(bandwidth)
+    gamma = 1.0 / (2.0 * sigma * sigma)
+    k_ss = np.exp(-gamma * sq_dists(s, s))
+    k_tt = np.exp(-gamma * sq_dists(t, t))
+    k_st = np.exp(-gamma * sq_dists(s, t))
+    m_s, m_t = s.shape[0], t.shape[0]
+    value = float(k_ss.mean() + k_tt.mean() - 2.0 * k_st.mean())
+    inv_sq = 1.0 / (sigma * sigma)
+    grad_s = (
+        -2.0 * inv_sq / (m_s * m_s) * (k_ss.sum(axis=1)[:, None] * s - k_ss @ s)
+        + 2.0 * inv_sq / (m_s * m_t) * (k_st.sum(axis=1)[:, None] * s - k_st @ t)
+    )
+    grad_t = (
+        -2.0 * inv_sq / (m_t * m_t) * (k_tt.sum(axis=1)[:, None] * t - k_tt @ t)
+        + 2.0 * inv_sq / (m_s * m_t) * (k_st.sum(axis=0)[:, None] * t - k_st.T @ s)
+    )
+    return value, grad_s, grad_t
+
+
+class TestMmdOracle:
+    """The pooled-matrix MMD against the three-block reference."""
+
+    @staticmethod
+    def pairs():
+        s, t = sample_pair(seed=31, m_s=30, m_t=25, d=4)
+        yield "random", s, t
+        rng = np.random.default_rng(32)
+        yield "random-wide", rng.normal(size=(40, 6)), rng.gamma(2.0, 1.5, (50, 6))
+        yield "one-dim", rng.normal(size=(20, 1)), rng.normal(0.5, 1.0, (35, 1))
+        x = rng.integers(-3, 4, size=(24, 3)).astype(np.float64)
+        # Integer points: many tied distances, and duplicate rows.
+        yield "ties-and-duplicates", x, np.vstack([x[:10], x[5:15] + 1.0])
+
+    @pytest.mark.parametrize("bandwidth", [0.9, 2.5, "median"])
+    def test_matches_reference(self, bandwidth):
+        for name, s, t in self.pairs():
+            value, g_s, g_t = mmd_rbf_with_gradient(s, t, bandwidth)
+            ref_value, ref_s, ref_t = reference_mmd(s, t, bandwidth)
+            assert value == pytest.approx(ref_value, rel=1e-12), name
+            for got, ref in ((g_s, ref_s), (g_t, ref_t)):
+                atol = 1e-12 * np.max(np.abs(ref))
+                np.testing.assert_allclose(got, ref, rtol=0, atol=atol, err_msg=name)
+
+    def test_upper_triangle_median_matches_all_off_diagonal_pairs(self):
+        from dwmd.discrepancy import _sq_dists, median_heuristic_bandwidth
+
+        rng = np.random.default_rng(33)
+        grid = rng.integers(-2, 3, size=(30, 2)).astype(np.float64)
+        cases = {
+            "random": rng.normal(size=(41, 5)),
+            "ties": grid,
+            "duplicates": np.vstack([grid[:8]] * 3),
+            "two-points": np.array([[0.0, 0.0], [3.0, 4.0]]),
+        }
+        for name, x in cases.items():
+            sq = _sq_dists(x)
+            off_diag = sq[~np.eye(len(x), dtype=bool)]
+            expected = float(np.sqrt(np.median(off_diag)))
+            got = median_heuristic_bandwidth(sq.copy())
+            assert got == pytest.approx(expected, rel=1e-14), name
+        assert median_heuristic_bandwidth(_sq_dists(np.ones((6, 3)))) == 1.0
+
+    def test_value_on_identical_samples_is_nonnegative(self):
+        from dwmd.discrepancy import mmd_rbf
+
+        for seed in range(8):
+            x = np.random.default_rng(40 + seed).normal(size=(25 + seed, 1 + seed % 4))
+            for bandwidth in ("median", 0.3, 4.0):
+                value = mmd_rbf(x, x, bandwidth)
+                assert 0.0 <= value < 1e-12

@@ -238,3 +238,11 @@ class TestExperiment:
         write_report(report, tmp_path / "r")
         lines = (tmp_path / "r" / "trace_seed1.csv").read_text().strip().splitlines()
         assert lines == ["epoch,source_loss,regularizer_layer0"]
+
+
+def test_optimizer_key_is_unknown(tmp_path):
+    # Heavy-ball momentum is chosen by cfg.momentum > 0 alone.
+    data = experiment_to_dict(small_experiment(str(tmp_path)))
+    data["cfg"]["optimizer"] = "sgd-momentum"
+    with pytest.raises(ValueError, match=r"cfg: unknown keys \['optimizer'\]"):
+        experiment_from_dict(data)

@@ -256,3 +256,24 @@ class TestEvaluate:
         model = init_model(tiny_spec())
         with pytest.raises(ValueError):
             evaluate(model, np.zeros((5, 2)), np.zeros(4, dtype=int))
+
+
+class TestMomentum:
+    @pytest.mark.parametrize("momentum", [-0.1, 1.0, 1.5, float("nan")])
+    def test_rejects_momentum_outside_unit_interval(self, momentum):
+        with pytest.raises(ValueError, match="momentum"):
+            TrainConfig(momentum=momentum)
+
+    def test_heavy_ball_run_is_deterministic_and_differs_from_sgd(self):
+        x_s, y_s, x_t, y_t = blob_task()
+        spec = tiny_spec()
+        kwargs = dict(epochs=3, batch_size=20, learning_rate=0.3, seed=4)
+        plain = train_uda(x_s, y_s, x_t, spec, TrainConfig(momentum=0.0, **kwargs))
+        runs = [
+            train_uda(x_s, y_s, x_t, spec, TrainConfig(momentum=0.9, **kwargs), target_labels=y_t)
+            for _ in range(2)
+        ]
+        assert runs[0].history == runs[1].history
+        for wa, wb, wp in zip(runs[0].weights, runs[1].weights, plain.weights):
+            np.testing.assert_array_equal(wa, wb)
+            assert not np.array_equal(wa, wp)
