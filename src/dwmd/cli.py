@@ -143,15 +143,18 @@ def _cmd_train(args):
 
 def _cmd_sweep(args):
     exp = _load_experiment(args.config)
-    reg = exp.cfg.regularizer
-    if args.param == "lam":
+    reg, policy = exp.cfg.regularizer, exp.cfg.dwmd.c_policy
+    if args.param == "lam" and reg != "none":
         section, key = None, "lam"
     elif args.param == "n" and reg == "cmd":
         section, key = None, "cmd_order"
-    elif reg in ("dwmd", "smd"):
+    elif reg in ("dwmd", "smd") and (args.param != "c" or policy == "scalar"):
         section, key = "dwmd", {"c": "c_value", "beta": "beta", "n": "n"}[args.param]
     else:
-        raise ValueError(f"the {reg!r} regularizer does not read --param {args.param}")
+        where = f"{reg!r} regularizer"
+        if reg in ("dwmd", "smd"):
+            where += f" with c_policy {policy!r}"
+        raise ValueError(f"the {where} does not read --param {args.param}")
     parse = int if args.param == "n" else float
     out_dir = args.out or exp.outputs
     values = [v.strip() for v in args.values.split(",") if v.strip()]

@@ -260,7 +260,8 @@ def _batch_order(rng, m, batch_size, n_steps):
 
 
 def train_uda(source, source_labels, target, spec, cfg, target_labels=None):
-    """Minibatch SGD on source cross-entropy plus the domain regularizer.
+    """Minibatch SGD, with heavy-ball momentum cfg.momentum (0 is plain
+    SGD), on source cross-entropy plus the domain regularizer.
 
     Each step pairs one source batch (with labels) and one target batch of
     equal size; the shorter domain cycles. target_labels, when given, are
@@ -286,9 +287,7 @@ def train_uda(source, source_labels, target, spec, cfg, target_labels=None):
         int(np.ceil(x_s.shape[0] / cfg.batch_size)),
         int(np.ceil(x_t.shape[0] / cfg.batch_size)),
     )
-    velocity_w = [np.zeros_like(w) for w in model.weights]
-    velocity_b = [np.zeros_like(b) for b in model.biases]
-    use_momentum = cfg.momentum > 0.0
+    velocity = [np.zeros_like(p) for p in model.weights + model.biases]
 
     history = {
         "source_loss": [],
@@ -317,15 +316,10 @@ def train_uda(source, source_labels, target, spec, cfg, target_labels=None):
                     f"non-finite loss at epoch {epoch + 1}, step {step + 1}; "
                     "lower the learning rate"
                 )
-            for i in range(len(model.weights)):
-                if use_momentum:
-                    velocity_w[i] = cfg.momentum * velocity_w[i] - cfg.learning_rate * grad_w[i]
-                    velocity_b[i] = cfg.momentum * velocity_b[i] - cfg.learning_rate * grad_b[i]
-                    model.weights[i] += velocity_w[i]
-                    model.biases[i] += velocity_b[i]
-                else:
-                    model.weights[i] -= cfg.learning_rate * grad_w[i]
-                    model.biases[i] -= cfg.learning_rate * grad_b[i]
+            for p, v, g in zip(model.weights + model.biases, velocity, grad_w + grad_b):
+                v *= cfg.momentum
+                v -= cfg.learning_rate * g
+                p += v
             epoch_ce += ce
             for layer, value in reg_values.items():
                 epoch_reg[layer] += value

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dwmd.cli import main
+from dwmd.discrepancy import DwmdConfig
 from dwmd.harness import experiment_to_dict, UdaExperiment
 from dwmd.nettrain import NetworkSpec, TrainConfig
 
@@ -208,11 +209,18 @@ class TestTrainAndSweep:
         assert "no sweep values" in capsys.readouterr().err
 
 
-def regularizer_config(tmp_path, regularizer):
+def regularizer_config(tmp_path, regularizer, c_policy="scalar"):
+    cfg = TrainConfig(
+        regularizer=regularizer,
+        epochs=1,
+        batch_size=30,
+        learning_rate=0.5,
+        dwmd=DwmdConfig(c_policy=c_policy),
+    )
     exp = UdaExperiment(
         task={"kind": "moons", "m_per_domain": 60, "rotation_degrees": 40.0, "noise": 0.1},
         spec=NetworkSpec((2, 8, 2), ("sigmoid",), (0,)),
-        cfg=TrainConfig(regularizer=regularizer, epochs=1, batch_size=30, learning_rate=0.5),
+        cfg=cfg,
         repeats=1,
         outputs=str(tmp_path / "report"),
     )
@@ -234,11 +242,22 @@ class TestSweepParameters:
             assert cfg["dwmd"]["n"] == TrainConfig().dwmd.n
 
     @pytest.mark.parametrize(
-        "regularizer, param",
-        [("cmd", "c"), ("mmd", "beta"), ("none", "c"), ("mmd", "n"), ("none", "n")],
+        "regularizer, c_policy, param",
+        [
+            ("cmd", "scalar", "c"),
+            ("mmd", "scalar", "beta"),
+            ("none", "scalar", "c"),
+            ("mmd", "scalar", "n"),
+            ("none", "scalar", "n"),
+            ("none", "scalar", "lam"),
+            ("dwmd", "tau_first", "c"),
+            ("smd", "tau_vector", "c"),
+        ],
     )
-    def test_unread_param_exit_2_names_regularizer(self, tmp_path, capsys, regularizer, param):
-        config, report_dir = regularizer_config(tmp_path, regularizer)
+    def test_unread_param_exit_2_names_regularizer(
+        self, tmp_path, capsys, regularizer, c_policy, param
+    ):
+        config, report_dir = regularizer_config(tmp_path, regularizer, c_policy)
         code = main(["sweep", "--config", config, "--param", param, "--values", "1,2"])
         assert code == 2
         err = capsys.readouterr().err
