@@ -238,8 +238,9 @@ def smd_gradient(source, target, config=None, profile=None):
 
 
 def _cmd_widths(source, target):
-    pooled = np.vstack([source, target])
-    return np.maximum(pooled.max(axis=0) - pooled.min(axis=0), CMD_WIDTH_FLOOR)
+    top = np.maximum(source.max(axis=0), target.max(axis=0))
+    bottom = np.minimum(source.min(axis=0), target.min(axis=0))
+    return np.maximum(top - bottom, CMD_WIDTH_FLOOR)
 
 
 def cmd(source, target, k=5):

@@ -8,7 +8,11 @@ series; the constant C of the series is resolved here as well.
 The trimming estimator: per dimension, drop the ceil(alpha * m) samples
 farthest from that dimension's median, then average the rest. A 1-D one-class
 decision boundary is an interval, so this matches one-class outlier removal on
-each dimension while staying deterministic and dependency-free.
+each dimension while staying deterministic and dependency-free. The cut is
+found by selection (introselect, through np.partition) in expected O(m) time
+per dimension, not by sorting; among samples tied at the cut the earliest rows
+are kept, so a row permutation moves a trimmed mean only by rounding when no
+distances tie.
 """
 
 from dataclasses import dataclass
@@ -55,6 +59,12 @@ def robust_dim_means(samples, alpha):
     """Trimmed column means: per dimension, discard the ceil(alpha*m) samples
     farthest (in absolute distance) from the column median, average the rest.
 
+    The kept samples are those below the (m - ceil(alpha*m))-th smallest
+    distance, found by selection in expected O(m) per dimension, plus as many
+    of the samples at that distance as still fit, earliest rows first (the
+    rule of a stable sort). The sum runs in row order, so permuting rows
+    without tied distances changes a mean only by rounding.
+
     alpha = 0 returns plain column means.
     """
     x = validate_samples(samples)
@@ -67,11 +77,27 @@ def robust_dim_means(samples, alpha):
         raise ValueError(f"trimming with alpha={alpha} would discard all {m} samples")
     if n_drop == 0:
         return x.mean(axis=0)
-    dist = np.abs(x - np.median(x, axis=0))
-    # Stable argsort keeps ties deterministic under row permutation-free input.
-    order = np.argsort(dist, axis=0, kind="stable")
-    kept = np.take_along_axis(x, order[:n_keep], axis=0)
-    return kept.mean(axis=0)
+    # One contiguous row per dimension: median and partition run along it.
+    cols = np.ascontiguousarray(x.T)
+    med = np.median(cols, axis=1)[:, None]
+    dist = cols - med
+    np.abs(dist, out=dist)
+    # The n_keep-th smallest distance, selected in place; recomputing the
+    # distances afterwards restores row order without a second m x d buffer.
+    dist.partition(n_keep - 1, axis=1)
+    thr = dist[:, n_keep - 1 : n_keep].copy()
+    np.abs(np.subtract(cols, med, out=dist), out=dist)
+    keep = dist < thr
+    tied = dist == thr
+    del dist
+    # Among distances equal to thr keep the earliest rows, as a stable sort
+    # would; only dimensions with more ties than places left need the count.
+    need = n_keep - np.count_nonzero(keep, axis=1)
+    surplus = np.flatnonzero(np.count_nonzero(tied, axis=1) > need)
+    if surplus.size:
+        tied[surplus] &= np.cumsum(tied[surplus], axis=1) <= need[surplus, None]
+    keep |= tied
+    return cols.sum(axis=1, where=keep) / n_keep
 
 
 def resolve_c(tau, c_policy, c_value=None):

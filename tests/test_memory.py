@@ -1,4 +1,5 @@
-"""Allocation peaks of the gradient kernels, measured with tracemalloc.
+"""Allocation peaks of the weight profile and the gradient kernels,
+measured with tracemalloc.
 
 numpy reports its array buffers to tracemalloc, so the peak above the
 traced memory at entry counts every array a call builds, its outputs
@@ -36,6 +37,12 @@ def test_dwmd_gradient_keeps_one_array_per_side(moment_pair):
     profile = weight_profile(s, t, 0.1, "scalar", 0.05)
     peak = peak_bytes(lambda: dwmd_gradient(s, t, profile=profile))
     assert peak < 2.5 * s.nbytes
+
+
+def test_weight_profile_peak(moment_pair):
+    s, t = moment_pair
+    peak = peak_bytes(lambda: weight_profile(s, t, 0.1, "scalar", 0.05))
+    assert peak < 2.75 * s.nbytes
 
 
 def test_cmd_gradient_peak(moment_pair):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dwmd.weighting import TAU_FLOOR, robust_dim_means, weight_profile
@@ -61,6 +61,45 @@ class TestRobustDimMeans:
     def test_cannot_discard_everything(self):
         with pytest.raises(ValueError):
             robust_dim_means([[1.0]], 0.4999999)
+
+    def test_tied_distances_keep_the_earliest_row(self):
+        # Median 0; rows 3 (+1) and 4 (-1) tie at distance 1 for the last
+        # kept place. The earlier row is kept, so the mean is +1/4.
+        x = [[0.0], [0.0], [0.0], [1.0], [-1.0]]
+        np.testing.assert_array_equal(robust_dim_means(x, 0.1), [0.25])
+
+    @given(
+        x=st.integers(2, 30).flatmap(
+            lambda m: st.lists(
+                st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=m, max_size=m
+            )
+        ),
+        alpha=st.floats(0.0, 0.5, exclude_max=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tie_heavy_integers_match_oracle(self, x, alpha):
+        x = np.array(x, dtype=float)
+        want = [trimmed_mean_oracle(x[:, j], alpha) for j in range(x.shape[1])]
+        np.testing.assert_allclose(robust_dim_means(x, alpha), want, rtol=1e-12)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 60),
+        alpha=st.floats(0.0, 0.5, exclude_max=True),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_row_permutation_moves_only_rounding(self, seed, m, alpha, data):
+        # Without tied distances the kept set does not depend on row order;
+        # only the summation order does.
+        x = np.random.default_rng(seed).normal(size=(m, 4)) * [1.0, 10.0, 0.1, 1e3]
+        dist = np.abs(x - np.median(x, axis=0))
+        assume(all(np.unique(dist[:, j]).size == m for j in range(x.shape[1])))
+        order = data.draw(st.permutations(range(m)))
+        base = robust_dim_means(x, alpha)
+        np.testing.assert_allclose(
+            robust_dim_means(x[order], alpha), base, rtol=1e-12, atol=1e-12 * np.abs(x).max()
+        )
 
 
 class TestWeightProfile:
