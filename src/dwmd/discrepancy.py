@@ -16,7 +16,9 @@ Both moment gradients are power series in a sample entry: sum_k c_k x^k with
 one (order, dimension) coefficient row per power, in the raw samples for the
 series and in the centred samples for CMD. One helper, _power_series,
 evaluates them by Horner's rule, in one array per sample matrix. The MMD value
-and gradient come from one pooled (m_s + m_t)^2 kernel matrix.
+and gradient are accumulated over blocks of rows of the pooled kernel matrix,
+at most BLOCK_ENTRIES entries each, so the (m_s + m_t)^2 matrix never exists;
+its median bandwidth is taken over at most MEDIAN_ROWS pooled rows.
 """
 
 from dataclasses import dataclass, replace
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moments import central_moments, pooled_mean_scale, raw_moments, validate_pair
-from .weighting import C_POLICIES, WeightProfile, weight_profile
+from .weighting import C_POLICIES, WeightProfile, _median_in_place, weight_profile
 
 __all__ = [
     "DwmdConfig",
@@ -47,6 +49,11 @@ DELTA_UNDERFLOW = 1e-15
 GRAD_CLIP = 1e6
 # Floor for the per-dimension widths of the CMD baseline.
 CMD_WIDTH_FLOOR = 1e-12
+# Entries of the largest block of MMD kernel rows held at once (8 MB).
+BLOCK_ENTRIES = 2**20
+# Pooled rows the MMD median heuristic runs on; above this a seeded subset
+# is used, so its squared-distance matrix never exceeds 8 * MEDIAN_ROWS^2 bytes.
+MEDIAN_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -290,23 +297,41 @@ def cmd_with_gradient(source, target, k=5, widths=None):
     return total, grads[0], grads[1]
 
 
-def _sq_dists(x):
-    """Squared Euclidean distances between the rows of x, built in one
-    (m, m) array: -2 x x^T plus both row norms, clipped at 0."""
-    sq = x @ x.T
+def _sq_dists(x, rows=slice(None), norms=None):
+    """Squared Euclidean distances from the rows x[rows] to every row of x, in
+    one array: -2 x[rows] x^T plus both row norms, clipped at 0. norms, the
+    squared row norms of x, are computed unless passed in."""
+    if norms is None:
+        norms = np.einsum("ij,ij->i", x, x)
+    sq = x[rows] @ x.T
     sq *= -2.0
-    norms = np.einsum("ij,ij->i", x, x)
-    sq += norms[:, None]
+    sq += norms[rows, None]
     sq += norms[None, :]
     return np.maximum(sq, 0.0, out=sq)
 
 
 def median_heuristic_bandwidth(sq):
     """Median Euclidean distance over the distinct pairs i < j of a pooled
-    squared-distance matrix; falls back to 1.0 when all points coincide."""
-    upper = np.concatenate([row[i + 1 :] for i, row in enumerate(sq[:-1])])
-    med = float(np.sqrt(np.median(upper, overwrite_input=True)))
+    squared-distance matrix; falls back to 1.0 when all points coincide.
+
+    sq is overwritten: its diagonal and lower triangle are set to -inf and
+    the whole matrix is partitioned in place, so no copy of the pairs is made.
+    """
+    m = sq.shape[0]
+    sq[np.tri(m, dtype=bool)] = -np.inf
+    med = float(np.sqrt(_median_in_place(sq.reshape(-1), skip=m * (m + 1) // 2)))
     return med if med > 0.0 else 1.0
+
+
+def _median_bandwidth(x):
+    """The median heuristic on the pooled rows x: over every pair when x has
+    at most MEDIAN_ROWS rows, else over the pairs of MEDIAN_ROWS rows drawn
+    without replacement by default_rng(0) and kept in row order."""
+    if x.shape[0] > MEDIAN_ROWS:
+        rows = np.random.default_rng(0).choice(x.shape[0], MEDIAN_ROWS, replace=False)
+        rows.sort()
+        x = x[rows]
+    return median_heuristic_bandwidth(_sq_dists(x))
 
 
 def mmd_rbf(source, target, bandwidth="median"):
@@ -325,17 +350,28 @@ def mmd_rbf_with_gradient(source, target, bandwidth="median"):
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     m_s, m_t = s.shape[0], t.shape[0]
     x = np.vstack([s, t])
-    kernel = _sq_dists(x)
-    sigma = median_heuristic_bandwidth(kernel) if bandwidth == "median" else float(bandwidth)
-    kernel *= -1.0 / (2.0 * sigma * sigma)
-    np.exp(kernel, out=kernel)
+    sigma = _median_bandwidth(x) if bandwidth == "median" else float(bandwidth)
     # Over the pooled rows X with signed weights w (1/m_s source, -1/m_t
     # target) the value is w^T K w; since d k(x, y)/dx = -(x - y)/sigma^2
     # k(x, y), the gradient is -(2/sigma^2) w * ((K w) * X - K (w * X)).
+    # K w and K (w * X) are accumulated over blocks of rows of K, each
+    # rebuilt from the pooled rows and their norms.
     w = np.concatenate([np.full(m_s, 1.0 / m_s), np.full(m_t, -1.0 / m_t)])
-    kw = kernel @ w
+    wx = w[:, None] * x
+    norms = np.einsum("ij,ij->i", x, x)
+    kw = np.empty_like(w)
+    kwx = np.empty_like(x)
+    step = max(1, BLOCK_ENTRIES // x.shape[0])
+    for start in range(0, x.shape[0], step):
+        rows = slice(start, start + step)
+        kernel = _sq_dists(x, rows, norms)
+        kernel *= -1.0 / (2.0 * sigma * sigma)
+        np.exp(kernel, out=kernel)
+        kw[rows] = kernel @ w
+        kwx[rows] = kernel @ wx
+        del kernel  # so the next block is not built beside this one
     value = max(float(w @ kw), 0.0)
     grad = kw[:, None] * x
-    grad -= kernel @ (w[:, None] * x)
+    grad -= kwx
     grad *= (-2.0 / (sigma * sigma)) * w[:, None]
     return value, grad[:m_s], grad[m_s:]

@@ -195,13 +195,14 @@ def save_csv(path, matrix, labels=None, label_column="label"):
     if labels is not None:
         header.append(label_column)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(matrix.shape[0]):
-            row = [repr(float(v)) for v in matrix[i]]
+        csv.writer(fh).writerow(header)
+        # A float's repr never needs quoting, so rows are joined directly, in
+        # the csv module's default \r\n line ending.
+        for i, row in enumerate(matrix):
+            cells = list(map(repr, row.tolist()))
             if labels is not None:
-                row.append(str(int(labels[i])))
-            writer.writerow(row)
+                cells.append(str(int(labels[i])))
+            fh.write(",".join(cells) + "\r\n")
 
 
 def _materialize_task(task, seed):

@@ -55,6 +55,24 @@ class WeightProfile:
         return self.tau.shape[0]
 
 
+def _median_in_place(buf, skip=0):
+    """Median along the last axis of buf[..., skip:], as np.median computes
+    it, from one partition of buf in place (buf is reordered).
+
+    The skip leading entries of each row must be no larger than any other
+    entry (e.g. -inf padding). The upper middle value is selected; for an even
+    count the lower middle is the max of the part below it. The result is a
+    copy, so buf may be overwritten afterwards.
+    """
+    count = buf.shape[-1] - skip
+    k = skip + count // 2
+    buf.partition(k, axis=-1)
+    upper = buf[..., k]
+    if count % 2:
+        return upper.copy()
+    return (buf[..., :k].max(axis=-1) + upper) / 2
+
+
 def robust_dim_means(samples, alpha):
     """Trimmed column means: per dimension, discard the ceil(alpha*m) samples
     farthest (in absolute distance) from the column median, average the rest.
@@ -79,9 +97,9 @@ def robust_dim_means(samples, alpha):
         return x.mean(axis=0)
     # One contiguous row per dimension: median and partition run along it.
     cols = np.ascontiguousarray(x.T)
-    med = np.median(cols, axis=1)[:, None]
-    dist = cols - med
-    np.abs(dist, out=dist)
+    dist = cols.copy()
+    med = _median_in_place(dist)[:, None]
+    np.abs(np.subtract(cols, med, out=dist), out=dist)
     # The n_keep-th smallest distance, selected in place; recomputing the
     # distances afterwards restores row order without a second m x d buffer.
     dist.partition(n_keep - 1, axis=1)

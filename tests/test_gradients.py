@@ -340,3 +340,53 @@ class TestMmdOracle:
             for bandwidth in ("median", 0.3, 4.0):
                 value = mmd_rbf(x, x, bandwidth)
                 assert 0.0 <= value < 1e-12
+
+
+class TestBlockMmd:
+    """Pairs that span several kernel row blocks, and the bounded median."""
+
+    @pytest.mark.parametrize("bandwidth", [0.9, "median"])
+    def test_multi_block_matches_reference(self, bandwidth):
+        from dwmd.discrepancy import BLOCK_ENTRIES
+
+        rng = np.random.default_rng(50)
+        s, t = rng.normal(size=(700, 5)), rng.normal(0.4, 1.2, (650, 5))
+        pooled = s.shape[0] + t.shape[0]
+        step = BLOCK_ENTRIES // pooled
+        assert step < pooled and pooled % step != 0  # several blocks, the last partial
+        value, g_s, g_t = mmd_rbf_with_gradient(s, t, bandwidth)
+        ref_value, ref_s, ref_t = reference_mmd(s, t, bandwidth)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        for got, ref in ((g_s, ref_s), (g_t, ref_t)):
+            atol = 1e-12 * np.max(np.abs(ref))
+            np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+
+    def test_median_is_exact_up_to_median_rows(self):
+        from dwmd.discrepancy import MEDIAN_ROWS, _median_bandwidth, _sq_dists
+
+        rng = np.random.default_rng(51)
+        for m in (2, 3, 41, 400, MEDIAN_ROWS):
+            x = rng.normal(size=(m, 4))
+            sq = _sq_dists(x)
+            expected = float(np.sqrt(np.median(sq[~np.tri(m, dtype=bool)])))
+            assert _median_bandwidth(x) == expected, m
+        # The MMD itself uses that bandwidth: same bits as passing it.
+        s, t = x[: MEDIAN_ROWS // 2], x[MEDIAN_ROWS // 2 :]
+        by_median = mmd_rbf_with_gradient(s, t, "median")
+        by_value = mmd_rbf_with_gradient(s, t, expected)
+        assert by_median[0] == by_value[0]
+        assert np.array_equal(by_median[1], by_value[1])
+        assert np.array_equal(by_median[2], by_value[2])
+
+    def test_subset_median_repeats_and_stays_close(self):
+        from dwmd.discrepancy import _median_bandwidth, _sq_dists, mmd_rbf
+
+        rng = np.random.default_rng(52)
+        s, t = rng.normal(size=(1500, 5)), rng.normal(0.5, 1.0, (1500, 5))
+        x = np.vstack([s, t])
+        sigma = _median_bandwidth(x)
+        assert _median_bandwidth(x.copy()) == sigma
+        assert mmd_rbf(s, t, "median") == mmd_rbf(s, t, sigma)
+        sq = _sq_dists(x)
+        all_pairs = float(np.sqrt(np.median(sq[~np.tri(len(x), dtype=bool)])))
+        assert sigma == pytest.approx(all_pairs, rel=0.02)

@@ -58,3 +58,11 @@ def test_mmd_builds_one_pooled_matrix(bandwidth, limit):
     pooled_matrix = 8 * (s.shape[0] + t.shape[0]) ** 2
     peak = peak_bytes(lambda: mmd_rbf_with_gradient(s, t, bandwidth))
     assert peak < limit * pooled_matrix
+
+
+def test_mmd_never_builds_the_pooled_matrix():
+    rng = np.random.default_rng(9)
+    s, t = rng.normal(size=(3000, 16)), rng.normal(0.5, 1.0, (3000, 16))
+    pooled_matrix = 8 * (s.shape[0] + t.shape[0]) ** 2
+    peak = peak_bytes(lambda: mmd_rbf_with_gradient(s, t, "median"))
+    assert peak < pooled_matrix / 6
