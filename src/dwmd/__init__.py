@@ -5,10 +5,12 @@ from .discrepancy import (
     DiscrepancyReport,
     DwmdConfig,
     cmd,
+    cmd_with_gradient,
     dwmd,
     dwmd_from_moments,
     dwmd_gradient,
     mmd_rbf,
+    mmd_rbf_with_gradient,
     smd,
     smd_gradient,
     truncation_bound,
@@ -19,7 +21,9 @@ from .moments import (
     raw_moments,
     standardize_pooled,
 )
-from .nettrain import NetworkSpec, TrainConfig, TrainedModel, evaluate, forward, train_uda
+from .nettrain import (
+    NetworkSpec, TrainConfig, TrainedModel, TrainingDiverged, evaluate, forward, train_uda
+)
 from .weighting import WeightProfile, robust_dim_means, weight_profile
 
 __all__ = [
@@ -29,15 +33,18 @@ __all__ = [
     "NetworkSpec",
     "TrainConfig",
     "TrainedModel",
+    "TrainingDiverged",
     "WeightProfile",
     "central_moments",
     "cmd",
+    "cmd_with_gradient",
     "dwmd",
     "dwmd_from_moments",
     "dwmd_gradient",
     "evaluate",
     "forward",
     "mmd_rbf",
+    "mmd_rbf_with_gradient",
     "raw_moments",
     "robust_dim_means",
     "smd",

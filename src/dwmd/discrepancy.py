@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .moments import central_moments, pooled_mean_scale, raw_moments, validate_pair
+from .moments import _central_moments, _power_means, _pooled_mean_scale, _validate_pair
 from .weighting import C_POLICIES, WeightProfile, _median_in_place, weight_profile
 
 __all__ = [
@@ -146,19 +146,19 @@ def truncation_bound(profile, psi, n):
     return float(ratio ** (n + 1) / (1.0 - ratio))
 
 
-def _series(source, target, config=None, frozen=None, uniform=False, with_gradient=False):
-    """The series kernel: validate and (optionally) standardize the samples,
-    build the weight profile unless a frozen one is given, and evaluate the
-    report. uniform replaces the normalized weight vector by its component
-    average (SMD). Returns the report, or (report, grad_source, grad_target)
-    when with_gradient is set; the gradient holds the weight profile and the
-    pooled standardization statistics constant, since the trimming estimator
-    is piecewise constant in the samples.
+def _series(s, t, config=None, frozen=None, uniform=False, with_gradient=False):
+    """The series kernel on two float64 (m, d) matrices with a common d, which
+    it does not check: (optionally) standardize them, build the weight
+    profile unless a frozen one is given (weight_profile checks the samples),
+    and evaluate the report. uniform replaces the normalized weight vector by
+    its component average (SMD). Returns the report, or (report, grad_source,
+    grad_target) when with_gradient is set; the gradient holds the weight
+    profile and the pooled standardization statistics constant, since the
+    trimming estimator is piecewise constant in the samples.
     """
     config = config or DwmdConfig()
-    s, t = validate_pair(source, target)
     if config.standardize:
-        mu, scale = pooled_mean_scale(s, t)
+        mu, scale = _pooled_mean_scale(s, t)
         s = (s - mu) / scale
         t = (t - mu) / scale
     profile = frozen
@@ -168,7 +168,7 @@ def _series(source, target, config=None, frozen=None, uniform=False, with_gradie
         tau_c = float(profile.tau_normalized.mean())
         profile = replace(profile, tau_normalized=np.full(profile.d, tau_c))
 
-    delta = raw_moments(s, config.n) - raw_moments(t, config.n)
+    delta = _power_means(s, config.n, "raw") - _power_means(t, config.n, "raw")
     report, gap, powered, weights = _report(delta, profile, config)
     if not with_gradient:
         return report
@@ -210,7 +210,7 @@ def dwmd(source, target, config=None, profile=None):
     A caller-supplied profile freezes the weights instead of recomputing
     them from the data (the fixed-weight form the gradient differentiates).
     """
-    return _series(source, target, config, profile)
+    return _series(*_validate_pair(source, target), config, profile)
 
 
 def dwmd_from_moments(moments_source, moments_target, profile, config):
@@ -230,18 +230,19 @@ def dwmd_from_moments(moments_source, moments_target, profile, config):
 def smd(source, target, config=None, profile=None):
     """Uniform-weight variant: the normalized weight vector is replaced by
     the constant vector holding its component average."""
-    return _series(source, target, config, profile, uniform=True)
+    return _series(*_validate_pair(source, target), config, profile, uniform=True)
 
 
 def dwmd_gradient(source, target, config=None, profile=None):
     """Partial derivatives of the series total with respect to every source
     and target entry (weight profile held constant)."""
-    return _series(source, target, config, profile, with_gradient=True)[1:]
+    return _series(*_validate_pair(source, target), config, profile, with_gradient=True)[1:]
 
 
 def smd_gradient(source, target, config=None, profile=None):
     """Gradient of the uniform-weight variant."""
-    return _series(source, target, config, profile, uniform=True, with_gradient=True)[1:]
+    s, t = _validate_pair(source, target)
+    return _series(s, t, config, profile, uniform=True, with_gradient=True)[1:]
 
 
 def _cmd_widths(source, target):
@@ -266,13 +267,11 @@ def cmd_with_gradient(source, target, k=5, widths=None):
     """CMD value and its gradient with respect to both sample matrices
     (widths held constant; pass widths explicitly to freeze them across
     calls, e.g. for finite-difference checks)."""
-    s, t = validate_pair(source, target)
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
+    s, t = _validate_pair(source, target)
     if widths is None:
         widths = _cmd_widths(s, t)
-    cs = central_moments(s, k)
-    ct = central_moments(t, k)
+    cs = _central_moments(s, k)
+    ct = _central_moments(t, k)
     orders = np.arange(1, k + 1)[:, None]
     w_pow = widths**orders
     v = (cs - ct) / w_pow
@@ -345,7 +344,7 @@ def mmd_rbf(source, target, bandwidth="median"):
 def mmd_rbf_with_gradient(source, target, bandwidth="median"):
     """MMD value and its gradient with respect to both sample matrices
     (bandwidth held constant)."""
-    s, t = validate_pair(source, target)
+    s, t = _validate_pair(source, target)
     if bandwidth != "median" and not float(bandwidth) > 0.0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     m_s, m_t = s.shape[0], t.shape[0]

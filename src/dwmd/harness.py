@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .discrepancy import DwmdConfig
-from .nettrain import NetworkSpec, TrainConfig, TrainingDiverged, evaluate, train_uda
+from .nettrain import NetworkSpec, TrainConfig, TrainingDiverged, train_uda
 
 __all__ = [
     "UdaExperiment",
@@ -23,6 +23,7 @@ __all__ = [
     "gen_moons",
     "gen_gaussian_shift",
     "load_csv",
+    "save_csv",
     "run_experiment",
     "write_report",
     "experiment_from_dict",
@@ -187,13 +188,13 @@ def load_csv(path, label_column=None):
     return matrix, (np.asarray(labels, dtype=np.int64) if label_idx is not None else None)
 
 
-def save_csv(path, matrix, labels=None, label_column="label"):
-    """Write a sample matrix (optionally with an integer label column) in the
-    format load_csv reads back."""
+def save_csv(path, matrix, labels=None):
+    """Write a sample matrix (optionally with an integer label column named
+    "label") in the format load_csv reads back."""
     matrix = np.asarray(matrix, dtype=np.float64)
     header = [f"f{j}" for j in range(matrix.shape[1])]
     if labels is not None:
-        header.append(label_column)
+        header.append("label")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         # A float's repr never needs quoting, so rows are joined directly, in
@@ -239,8 +240,7 @@ def run_experiment(exp):
             source, y_s, target, y_t = _materialize_task(exp.task, seed)
             cfg = replace(exp.cfg, seed=seed)
             model = train_uda(source, y_s, target, exp.spec, cfg, target_labels=y_t)
-            acc = evaluate(model, target, y_t) if y_t is not None else float("nan")
-            per_seed.append({"seed": seed, "accuracy": acc})
+            per_seed.append({"seed": seed, "accuracy": model.history["target_accuracy"][-1]})
             traces[seed] = model.history
         except (ValueError, TrainingDiverged) as exc:
             per_seed.append({"seed": seed, "error": str(exc)})

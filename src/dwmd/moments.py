@@ -37,7 +37,7 @@ def validate_samples(samples, name="samples"):
     return arr
 
 
-def validate_pair(source, target):
+def _validate_pair(source, target):
     """Validate a source/target pair of sample matrices that must share the
     feature dimension d; returns the two float64 matrices."""
     s = validate_samples(source, "source")
@@ -84,7 +84,11 @@ def raw_moments(samples, n):
 def central_moments(samples, n):
     """Per-dimension central moments: row 0 is the column mean, row k-1 for
     k >= 2 is the mean of (x - mean)^k."""
-    x = validate_samples(samples)
+    return _central_moments(validate_samples(samples), n)
+
+
+def _central_moments(x, n):
+    """central_moments of an already validated float64 matrix."""
     mu = x.mean(axis=0)
     out = _power_means(x - mu, n, "central")
     out[0] = mu
@@ -98,12 +102,12 @@ def standardize_pooled(source, target):
     Dimensions with pooled std 0 are shifted only. Returns a new pair; the
     inputs are not modified.
     """
-    s, t = validate_pair(source, target)
-    mu, scale = pooled_mean_scale(s, t)
+    s, t = _validate_pair(source, target)
+    mu, scale = _pooled_mean_scale(s, t)
     return (s - mu) / scale, (t - mu) / scale
 
 
-def pooled_mean_scale(source, target):
+def _pooled_mean_scale(source, target):
     """Per-dimension mean and scale of the union of two validated matrices;
     the scale is the population std, or 1 where that std is 0."""
     pooled = np.vstack([source, target])

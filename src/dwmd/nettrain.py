@@ -7,6 +7,7 @@ layers, for a source batch and a target batch drawn each step. All math is
 plain numpy; runs are deterministic given the seed.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +96,11 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.cmd_order < 1:
+            raise ValueError(f"cmd_order must be >= 1, got {self.cmd_order}")
+        bw = self.mmd_bandwidth
+        if bw != "median" and not (isinstance(bw, numbers.Real) and 0.0 < bw < np.inf):
+            raise ValueError(f"mmd_bandwidth must be 'median' or a finite number > 0, got {bw!r}")
         needs_trimming = self.lam > 0.0 and self.regularizer in ("dwmd", "smd")
         if needs_trimming and self.batch_size < MIN_TRIMMING_BATCH:
             raise ValueError(
@@ -155,6 +161,11 @@ def forward(model, batch):
         raise ValueError(
             f"batch width {x.shape[1]} != input width {model.spec.layer_sizes[0]}"
         )
+    return _forward(model, x)
+
+
+def _forward(model, x):
+    """forward on a float64 batch of the input width, which it does not check."""
     hiddens = []
     a = x
     for i, name in enumerate(model.spec.activations):
@@ -176,9 +187,7 @@ def _regularizer_terms(cfg, a_s, a_t, frozen=None):
         return report.total, g_s, g_t
     if cfg.regularizer == "cmd":
         return disc.cmd_with_gradient(a_s, a_t, cfg.cmd_order, widths=frozen)
-    if cfg.regularizer == "mmd":
-        return disc.mmd_rbf_with_gradient(a_s, a_t, cfg.mmd_bandwidth)
-    raise ValueError(f"unknown regularizer {cfg.regularizer!r}")
+    return disc.mmd_rbf_with_gradient(a_s, a_t, cfg.mmd_bandwidth)
 
 
 def _backward(model, x, hiddens, delta_out, external):
@@ -220,17 +229,16 @@ def objective_gradient(model, x_s, y_s, x_t, cfg, frozen_profiles=None):
     WeightProfile for dwmd/smd, or a width vector for cmd. This is the form
     finite-difference checks differentiate.
     """
-    hid_s, probs = forward(model, x_s)
+    hid_s, probs = _forward(model, x_s)
     m_b = x_s.shape[0]
     onehot = np.zeros_like(probs)
     onehot[np.arange(m_b), y_s] = 1.0
     ce = float(-np.mean(np.log(np.clip(probs[np.arange(m_b), y_s], 1e-300, None))))
     delta_out = (probs - onehot) / m_b
 
-    reg_values = {}
-    ext_s, ext_t = {}, {}
+    reg_values, ext_s, ext_t = {}, {}, {}
     if cfg.lam > 0.0 and cfg.regularizer != "none":
-        hid_t, _ = forward(model, x_t)
+        hid_t, _ = _forward(model, x_t)
         for layer in model.spec.matched_layers:
             frozen = frozen_profiles.get(layer) if frozen_profiles else None
             value, g_s, g_t = _regularizer_terms(cfg, hid_s[layer], hid_t[layer], frozen)
@@ -238,9 +246,7 @@ def objective_gradient(model, x_s, y_s, x_t, cfg, frozen_profiles=None):
             ext_s[layer] = cfg.lam * g_s
             ext_t[layer] = cfg.lam * g_t
     else:
-        hid_t = None
-        for layer in model.spec.matched_layers:
-            reg_values[layer] = 0.0
+        reg_values = dict.fromkeys(model.spec.matched_layers, 0.0)
 
     grad_w, grad_b = _backward(model, x_s, hid_s, delta_out, ext_s)
     if ext_t:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import validate_pair, validate_samples
+from .moments import _validate_pair, validate_samples
 
-__all__ = ["WeightProfile", "robust_dim_means", "weight_profile", "TAU_FLOOR", "C_FLOOR"]
+__all__ = ["WeightProfile", "robust_dim_means", "weight_profile", "TAU_FLOOR", "C_FLOOR", "C_POLICIES"]
 
 # Floor for normalized weights: a zero-gap dimension gets weight
 # exp(-psi*n/TAU_FLOOR) ~ 0 instead of a division by zero.
@@ -85,7 +85,11 @@ def robust_dim_means(samples, alpha):
 
     alpha = 0 returns plain column means.
     """
-    x = validate_samples(samples)
+    return _trimmed_means(validate_samples(samples), alpha)
+
+
+def _trimmed_means(x, alpha):
+    """robust_dim_means of an already validated float64 matrix."""
     if not 0.0 <= alpha < 0.5:
         raise ValueError(f"alpha must be in [0, 0.5), got {alpha}")
     m = x.shape[0]
@@ -142,8 +146,8 @@ def weight_profile(source, target, alpha=0.1, c_policy="scalar", c_value=0.05):
     Symmetric in its two sample arguments. When all robust-mean gaps are zero
     the normalized vector degenerates to all-ones (uniform weighting).
     """
-    s, t = validate_pair(source, target)
-    tau = np.abs(robust_dim_means(s, alpha) - robust_dim_means(t, alpha))
+    s, t = _validate_pair(source, target)
+    tau = np.abs(_trimmed_means(s, alpha) - _trimmed_means(t, alpha))
     tau_max = float(tau.max())
     if tau_max > 0.0:
         tau_normalized = np.maximum(tau / tau_max, TAU_FLOOR)

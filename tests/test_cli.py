@@ -263,3 +263,21 @@ class TestSweepParameters:
         err = capsys.readouterr().err
         assert f"'{regularizer}' regularizer" in err and f"--param {param}" in err
         assert not os.path.exists(report_dir)
+
+
+class TestConfigValuesCheckedOnLoad:
+    @pytest.mark.parametrize(
+        "key, value", [("cmd_order", 0), ("mmd_bandwidth", -1), ("mmd_bandwidth", "abc")]
+    )
+    def test_train_exit_2_before_any_seed_runs(self, tmp_path, capsys, key, value):
+        config, report_dir = experiment_config(tmp_path)
+        with open(config, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["cfg"][key] = value
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        code = main(["train", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert key in err and "all seeds failed" not in err
+        assert not os.path.exists(report_dir)

@@ -1,5 +1,6 @@
 import filecmp
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from dwmd.harness import (
     save_csv,
     write_report,
 )
-from dwmd.nettrain import NetworkSpec, TrainConfig
+from dwmd.nettrain import NetworkSpec, TrainConfig, evaluate, train_uda
 from dwmd.weighting import robust_dim_means
 
 
@@ -245,4 +246,60 @@ def test_optimizer_key_is_unknown(tmp_path):
     data = experiment_to_dict(small_experiment(str(tmp_path)))
     data["cfg"]["optimizer"] = "sgd-momentum"
     with pytest.raises(ValueError, match=r"cfg: unknown keys \['optimizer'\]"):
+        experiment_from_dict(data)
+
+
+class TestTaskKinds:
+    def csv_task(self, tmp_path, **extra):
+        source, y_s, target, y_t = gen_moons(120, 40.0, 0.1, seed=3)
+        save_csv(tmp_path / "source.csv", source, y_s)
+        save_csv(tmp_path / "target.csv", target, y_t)
+        task = {
+            "kind": "csv",
+            "source_path": str(tmp_path / "source.csv"),
+            "target_path": str(tmp_path / "target.csv"),
+            **extra,
+        }
+        return task, (source, y_s, target, y_t)
+
+    def run(self, tmp_path, task):
+        exp = replace(small_experiment(str(tmp_path)), task=task)
+        return exp, run_experiment(exp)
+
+    def test_csv_task_accuracy_is_the_last_epoch_evaluation(self, tmp_path):
+        task, (source, y_s, target, y_t) = self.csv_task(tmp_path)
+        exp, report = self.run(tmp_path, task)
+        for row in report.per_seed:
+            model = train_uda(source, y_s, target, exp.spec, replace(exp.cfg, seed=row["seed"]))
+            assert row["accuracy"] == evaluate(model, target, y_t)
+            assert row["accuracy"] == report.traces[row["seed"]]["target_accuracy"][-1]
+
+    def test_gaussian_shift_task_resamples_per_seed(self, tmp_path):
+        task = {"kind": "gaussian_shift", "m": 100, "d": 2, "offset": [0.5, 0.0]}
+        exp, report = self.run(tmp_path, task)
+        for row in report.per_seed:
+            source, y_s, target, y_t = gen_gaussian_shift(
+                100, 2, [0.5, 0.0], [1.0, 1.0], row["seed"]
+            )
+            model = train_uda(source, y_s, target, exp.spec, replace(exp.cfg, seed=row["seed"]))
+            assert row["accuracy"] == evaluate(model, target, y_t)
+
+    def test_csv_task_without_label_column_fails_every_seed(self, tmp_path):
+        task, _ = self.csv_task(tmp_path, label_column=None)
+        with pytest.raises(RuntimeError, match="source.csv: source file needs a label column"):
+            self.run(tmp_path, task)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("cmd_order", 0, "cmd_order must be >= 1"),
+        ("mmd_bandwidth", -1.0, "mmd_bandwidth"),
+        ("mmd_bandwidth", "abc", "mmd_bandwidth"),
+    ],
+)
+def test_bad_config_values_rejected_on_load(tmp_path, key, value, message):
+    data = experiment_to_dict(small_experiment(str(tmp_path)))
+    data["cfg"][key] = value
+    with pytest.raises(ValueError, match=message):
         experiment_from_dict(data)

@@ -277,3 +277,34 @@ class TestMomentum:
         for wa, wb, wp in zip(runs[0].weights, runs[1].weights, plain.weights):
             np.testing.assert_array_equal(wa, wb)
             assert not np.array_equal(wa, wp)
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_rejects_cmd_order_below_one(self, order):
+        with pytest.raises(ValueError, match=f"cmd_order must be >= 1, got {order}"):
+            TrainConfig(cmd_order=order)
+
+    @pytest.mark.parametrize(
+        "bandwidth", [-1, 0, 0.0, float("nan"), float("inf"), "abc", "", [1.0], None]
+    )
+    def test_rejects_bad_mmd_bandwidth(self, bandwidth):
+        message = "mmd_bandwidth must be 'median' or a finite number > 0"
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(mmd_bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", ["median", 0.5, 2, np.float64(1e-3)])
+    def test_accepts_median_and_positive_numbers(self, bandwidth):
+        assert TrainConfig(mmd_bandwidth=bandwidth).mmd_bandwidth == bandwidth
+
+
+def test_non_finite_loss_aborts_with_epoch_and_step():
+    from dwmd.harness import gen_moons
+    from dwmd.nettrain import TrainingDiverged
+
+    x_s, y_s, x_t, _ = gen_moons(400, 40.0, 0.1, seed=1)
+    spec = NetworkSpec((2, 16, 16, 2), ("relu", "relu"), matched_layers=(0,))
+    cfg = TrainConfig(regularizer="none", batch_size=50, learning_rate=1e150)
+    with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 1, step 2;"):
+        with np.errstate(all="ignore"):
+            train_uda(x_s * 100, y_s, x_t * 100, spec, cfg)
