@@ -115,8 +115,7 @@ def _cmd_discrepancy(args):
         if args.metric == "cmd":
             value = cmd(source, target, args.n)
         else:
-            bw = args.bandwidth if args.bandwidth == "median" else float(args.bandwidth)
-            value = mmd_rbf(source, target, bw)
+            value = mmd_rbf(source, target, args.bandwidth)
         if args.json:
             print(json.dumps({"metric": args.metric, "total": value}))
         else:

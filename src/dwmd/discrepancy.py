@@ -14,13 +14,15 @@ Gaussian-kernel MMD.
 
 Both moment gradients are power series in a sample entry: sum_k c_k x^k with
 one (order, dimension) coefficient row per power, in the raw samples for the
-series and in the centred samples for CMD. One helper, _power_series,
-evaluates them by Horner's rule, in one array per sample matrix. The MMD value
+series and in the centred samples for CMD (each side is centred once, for its
+moments and its gradient alike). One helper, _power_series, evaluates them by
+Horner's rule, in one array per sample matrix. The MMD value
 and gradient are accumulated over blocks of rows of the pooled kernel matrix,
 at most BLOCK_ENTRIES entries each, so the (m_s + m_t)^2 matrix never exists;
 its median bandwidth is taken over at most MEDIAN_ROWS pooled rows.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,6 +58,15 @@ BLOCK_ENTRIES = 2**20
 MEDIAN_ROWS = 2048
 
 
+def _check_count(name, value):
+    """Raise ValueError naming the field unless value is an integer >= 1
+    (numpy integers included, bool not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class DwmdConfig:
     """Hyperparameters of the discrepancy series.
@@ -76,8 +87,7 @@ class DwmdConfig:
     standardize: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        _check_count("n", self.n)
         if not self.psi > 0.0:
             raise ValueError(f"psi must be > 0, got {self.psi}")
         if not 0.0 < self.beta <= 1.0:
@@ -270,8 +280,8 @@ def cmd_with_gradient(source, target, k=5, widths=None):
     s, t = _validate_pair(source, target)
     if widths is None:
         widths = _cmd_widths(s, t)
-    cs = _central_moments(s, k)
-    ct = _central_moments(t, k)
+    cs, s = _central_moments(s, k)
+    ct, t = _central_moments(t, k)
     orders = np.arange(1, k + 1)[:, None]
     w_pow = widths**orders
     v = (cs - ct) / w_pow
@@ -283,17 +293,24 @@ def cmd_with_gradient(source, target, k=5, widths=None):
     dnorm = np.divide(
         v, norms[:, None] * w_pow, out=np.zeros_like(v), where=norms[:, None] > 0.0
     )
+    del widths, w_pow, v, norms  # unused below; freed before the m x d gradients
 
     # d mu / d x_i = 1/m and, for o >= 2, d c_o / d x_i = (o/m) *
     # ((x_i - mu)^(o-1) - c_(o-1)) with the centred c_1 = 0: each side's
-    # gradient is a power series in x - mu whose constant row absorbs the
-    # c_(o-1) terms. One side is finished before the other is started.
-    grads = []
-    for x, c, sign in ((s, cs, 1.0), (t, ct, -1.0)):
-        coeff = dnorm * (sign * orders / x.shape[0])
-        coeff[0] -= (coeff[2:] * c[1:-1]).sum(axis=0)
-        grads.append(_power_series(x - c[0], coeff))
-    return total, grads[0], grads[1]
+    # gradient is a power series in the centred samples s and t (centred
+    # once, above) whose constant row absorbs the c_(o-1) terms.
+    grad_s = _power_series(s, _cmd_coeff(dnorm, cs, orders / s.shape[0]))
+    del s  # so the target's gradient is not built beside the centred source
+    grad_t = _power_series(t, _cmd_coeff(dnorm, ct, orders / -t.shape[0]))
+    return total, grad_s, grad_t
+
+
+def _cmd_coeff(dnorm, c, scale):
+    """Power-series coefficients of one side's CMD gradient, from the value's
+    d||v_o||/dc_o, that side's central moments c and its signed o/m."""
+    coeff = dnorm * scale
+    coeff[0] -= (coeff[2:] * c[1:-1]).sum(axis=0)
+    return coeff
 
 
 def _sq_dists(x, rows=slice(None), norms=None):
@@ -333,6 +350,22 @@ def _median_bandwidth(x):
     return median_heuristic_bandwidth(_sq_dists(x))
 
 
+def _fixed_bandwidth(bandwidth):
+    """None for "median", else the bandwidth as a float; anything float()
+    does not turn into a finite number > 0 raises a ValueError naming it."""
+    if isinstance(bandwidth, str) and bandwidth == "median":
+        return None
+    try:
+        sigma = float(bandwidth)
+    except (TypeError, ValueError):
+        sigma = np.nan
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(
+            f"bandwidth must be 'median' or a finite number > 0, got {bandwidth!r}"
+        )
+    return sigma
+
+
 def mmd_rbf(source, target, bandwidth="median"):
     """Biased (V-statistic) Gaussian-kernel MMD: mean kernel within each
     domain minus twice the cross mean. Nonnegative in exact arithmetic; the
@@ -345,11 +378,11 @@ def mmd_rbf_with_gradient(source, target, bandwidth="median"):
     """MMD value and its gradient with respect to both sample matrices
     (bandwidth held constant)."""
     s, t = _validate_pair(source, target)
-    if bandwidth != "median" and not float(bandwidth) > 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
+    sigma = _fixed_bandwidth(bandwidth)
     m_s, m_t = s.shape[0], t.shape[0]
     x = np.vstack([s, t])
-    sigma = _median_bandwidth(x) if bandwidth == "median" else float(bandwidth)
+    if sigma is None:
+        sigma = _median_bandwidth(x)
     # Over the pooled rows X with signed weights w (1/m_s source, -1/m_t
     # target) the value is w^T K w; since d k(x, y)/dx = -(x - y)/sigma^2
     # k(x, y), the gradient is -(2/sigma^2) w * ((K w) * X - K (w * X)).

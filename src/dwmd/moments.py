@@ -3,6 +3,11 @@
 A sample matrix is an (m, d) array of real feature activations, one row per
 sample. All statistics are computed per dimension (per column) in double
 precision, whatever the storage dtype of the input.
+
+The moments of orders 1..n come from one pass per order over a single
+scratch array holding the running power, multiplied in place; besides its
+(n, d) result a moment call allocates one m x d array (two for central
+moments, whose centred copy is handed back to CMD's gradient).
 """
 
 import numpy as np
@@ -51,23 +56,32 @@ def _validate_pair(source, target):
 
 
 def _power_means(x, n, what):
-    """Column means of x^k for k = 1..n as an (n, d) array, by running
-    powers; a non-finite mean raises MomentOverflowError naming the order."""
+    """Column means of x^k for k = 1..n as an (n, d) array; a non-finite
+    mean raises MomentOverflowError naming the lowest such order.
+
+    The running power lives in one scratch array, multiplied by x in place,
+    and each order's column sums are reduced straight into its output row;
+    all orders are divided by m once at the end. That is what .mean(axis=0)
+    does per order, so the result is bit-identical to it.
+    """
     if n < 1:
         raise ValueError(f"moment order must be >= 1, got {n}")
     out = np.empty((n, x.shape[1]), dtype=np.float64)
-    power = x
-    with np.errstate(over="ignore"):
-        for k in range(1, n + 1):
-            if k > 1:
-                power = power * x
-            out[k - 1] = power.mean(axis=0)
-            if not np.all(np.isfinite(out[k - 1])):
-                j = int(np.argwhere(~np.isfinite(out[k - 1]))[0, 0])
-                raise MomentOverflowError(
-                    f"non-finite {what} moment at order {k}, dimension {j}; "
-                    "consider standardizing the inputs"
-                )
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.reduce(x, axis=0, out=out[0])
+        power = x
+        for k in range(1, n):
+            # x * x is the one new array; later orders overwrite it.
+            power = np.multiply(power, x, out=None if k == 1 else power)
+            np.add.reduce(power, axis=0, out=out[k])
+        del power  # before the check below allocates
+        out /= x.shape[0]
+    if not np.isfinite(out).all():
+        k, j = np.argwhere(~np.isfinite(out))[0]
+        raise MomentOverflowError(
+            f"non-finite {what} moment at order {k + 1}, dimension {j}; "
+            "consider standardizing the inputs"
+        )
     return out
 
 
@@ -84,15 +98,17 @@ def raw_moments(samples, n):
 def central_moments(samples, n):
     """Per-dimension central moments: row 0 is the column mean, row k-1 for
     k >= 2 is the mean of (x - mean)^k."""
-    return _central_moments(validate_samples(samples), n)
+    return _central_moments(validate_samples(samples), n)[0]
 
 
 def _central_moments(x, n):
-    """central_moments of an already validated float64 matrix."""
+    """central_moments of an already validated float64 matrix, and the
+    centred matrix x - mean it was computed from (CMD's gradient reuses it)."""
     mu = x.mean(axis=0)
-    out = _power_means(x - mu, n, "central")
+    centred = x - mu
+    out = _power_means(centred, n, "central")
     out[0] = mu
-    return out
+    return out, centred
 
 
 def standardize_pooled(source, target):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discrepancy as disc
-from .discrepancy import DwmdConfig
+from .discrepancy import DwmdConfig, _check_count
 from .moments import validate_samples
 
 __all__ = [
@@ -90,14 +90,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.regularizer not in REGULARIZERS:
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
-        if self.lam < 0.0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not (isinstance(self.lam, numbers.Real) and 0.0 <= self.lam < np.inf):
+            raise ValueError(f"lam must be a finite number >= 0, got {self.lam!r}")
+        lr = self.learning_rate
+        if not (isinstance(lr, numbers.Real) and -np.inf < lr < np.inf):
+            raise ValueError(f"learning_rate must be a finite number, got {lr!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
-        if self.cmd_order < 1:
-            raise ValueError(f"cmd_order must be >= 1, got {self.cmd_order}")
+        for name in ("epochs", "batch_size", "cmd_order"):
+            _check_count(name, getattr(self, name))
         bw = self.mmd_bandwidth
         if bw != "median" and not (isinstance(bw, numbers.Real) and 0.0 < bw < np.inf):
             raise ValueError(f"mmd_bandwidth must be 'median' or a finite number > 0, got {bw!r}")

@@ -281,3 +281,37 @@ class TestConfigValuesCheckedOnLoad:
         assert code == 2
         assert key in err and "all seeds failed" not in err
         assert not os.path.exists(report_dir)
+
+
+class TestConfigTypesCheckedOnLoad:
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("cfg", "epochs", 2.5),
+            ("cfg", "batch_size", 40.5),
+            ("cfg", "lam", float("nan")),
+            ("cfg", "learning_rate", float("inf")),
+            ("dwmd", "n", 2.5),
+        ],
+    )
+    def test_train_exit_2_naming_the_field(self, tmp_path, capsys, section, key, value):
+        config, report_dir = experiment_config(tmp_path)
+        with open(config, encoding="utf-8") as fh:
+            data = json.load(fh)
+        (data["cfg"] if section == "cfg" else data["cfg"]["dwmd"])[key] = value
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)  # nan and inf as the NaN and Infinity literals
+        code = main(["train", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{key} must be" in err and "all seeds failed" not in err
+        assert not os.path.exists(report_dir)
+
+
+def test_discrepancy_bad_bandwidth_exit_2(one_dim_pair, capsys):
+    source, target = one_dim_pair
+    code = main(
+        ["discrepancy", "--source", source, "--target", target, "--metric", "mmd", "--bandwidth", "abc"]
+    )
+    assert code == 2
+    assert "bandwidth must be 'median' or a finite number > 0, got 'abc'" in capsys.readouterr().err

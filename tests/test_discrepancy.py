@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,3 +266,26 @@ def test_weight_profile_roundtrip_through_dwmd():
     config = DwmdConfig()
     prof = weight_profile(s, t, config.alpha, config.c_policy, config.c_value)
     assert dwmd(s, t, config, profile=prof).total == dwmd(s, t, config).total
+
+
+@pytest.mark.parametrize("n", [2.5, 5.0, "5", None, True])
+def test_config_order_must_be_an_integer(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        DwmdConfig(n=n)
+
+
+def test_config_order_accepts_numpy_integers():
+    assert DwmdConfig(n=np.int32(3)).n == 3
+
+
+@pytest.mark.parametrize("bandwidth", ["abc", float("inf"), float("nan"), -1.0, 0, None, [1.0]])
+def test_mmd_bandwidth_message_names_the_value(bandwidth):
+    message = f"bandwidth must be 'median' or a finite number > 0, got {bandwidth!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mmd_rbf(np.zeros((3, 1)), np.ones((3, 1)), bandwidth)
+
+
+def test_mmd_numeric_bandwidth_strings_read_as_numbers():
+    rng = np.random.default_rng(21)
+    s, t = rng.normal(size=(20, 2)), rng.normal(1, 1, (20, 2))
+    assert mmd_rbf(s, t, "0.7") == mmd_rbf(s, t, 0.7)

@@ -303,3 +303,47 @@ def test_bad_config_values_rejected_on_load(tmp_path, key, value, message):
     data["cfg"][key] = value
     with pytest.raises(ValueError, match=message):
         experiment_from_dict(data)
+
+
+class TestCsvErrorBranches:
+    def test_non_integer_label_names_row_and_column(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("f0,label\n1,0\n2,x\n")
+        with pytest.raises(ValueError, match="row 3, column 2: label 'x' is not an integer"):
+            load_csv(path, "label")
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty file"):
+            load_csv(path)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_csv(path)
+
+    def test_bad_cell_right_of_the_label_column(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("f0,label,f1,f2\n1,0,2,3\n4,1,5,oops\n")
+        with pytest.raises(ValueError, match="row 3, column 4: 'oops' is not numeric"):
+            load_csv(path, "label")
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("cfg", "epochs", 2.5, "epochs must be an integer"),
+        ("cfg", "batch_size", 40.0, "batch_size must be an integer"),
+        ("cfg", "cmd_order", "5", "cmd_order must be an integer"),
+        ("cfg", "lam", float("nan"), "lam must be a finite number >= 0"),
+        ("cfg", "learning_rate", float("inf"), "learning_rate must be a finite number"),
+        ("dwmd", "n", 2.5, "n must be an integer"),
+    ],
+)
+def test_config_types_rejected_on_load(tmp_path, section, key, value, message):
+    data = experiment_to_dict(small_experiment(str(tmp_path)))
+    (data["cfg"] if section == "cfg" else data["cfg"]["dwmd"])[key] = value
+    with pytest.raises(ValueError, match=message):
+        experiment_from_dict(data)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dwmd.discrepancy import cmd_with_gradient, dwmd_gradient, mmd_rbf_with_gradient
+from dwmd.moments import raw_moments
 from dwmd.weighting import weight_profile
 
 
@@ -66,3 +67,9 @@ def test_mmd_never_builds_the_pooled_matrix():
     pooled_matrix = 8 * (s.shape[0] + t.shape[0]) ** 2
     peak = peak_bytes(lambda: mmd_rbf_with_gradient(s, t, "median"))
     assert peak < pooled_matrix / 6
+
+
+def test_raw_moments_keep_one_scratch_array(moment_pair):
+    s, _ = moment_pair
+    peak = peak_bytes(lambda: raw_moments(s, 5))
+    assert peak < 1.25 * s.nbytes

@@ -115,3 +115,35 @@ class TestValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             validate_samples(np.empty((0, 3)))
+
+
+def per_order_power_means(x, n):
+    """The per-order running-power loop _power_means replaced: a new array
+    per order and one .mean(axis=0) each. Kept as the bit-level oracle."""
+    out = np.empty((n, x.shape[1]))
+    power = x
+    for k in range(1, n + 1):
+        if k > 1:
+            power = power * x
+        out[k - 1] = power.mean(axis=0)
+    return out
+
+
+class TestOneScratchArray:
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    def test_bit_identical_to_the_per_order_loop(self, n, d):
+        rng = np.random.default_rng(100 + n * d)
+        x = rng.normal(0.4, 1.3, size=(1037, d))
+        np.testing.assert_array_equal(raw_moments(x, n), per_order_power_means(x, n))
+        centred = x - x.mean(axis=0)
+        expected = per_order_power_means(centred, n)
+        expected[0] = x.mean(axis=0)
+        np.testing.assert_array_equal(central_moments(x, n), expected)
+
+    def test_sign_mixed_overflow_names_the_lowest_order(self):
+        # Order 1 sums to a finite 1e100; order 2 overflows to +inf; order 3
+        # is inf + -inf = nan. The lowest non-finite order is reported.
+        x = np.array([[1.0, 1e200], [2.0, -1e200], [3.0, 1e100]])
+        with pytest.raises(MomentOverflowError, match="order 2, dimension 1"):
+            raw_moments(x, 4)

@@ -308,3 +308,25 @@ def test_non_finite_loss_aborts_with_epoch_and_step():
     with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 1, step 2;"):
         with np.errstate(all="ignore"):
             train_uda(x_s * 100, y_s, x_t * 100, spec, cfg)
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("key", ["epochs", "batch_size", "cmd_order"])
+    @pytest.mark.parametrize("value", [2.5, 30.0, "30", None, True])
+    def test_counts_must_be_integers(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            TrainConfig(**{key: value})
+
+    @pytest.mark.parametrize("key", ["epochs", "batch_size", "cmd_order"])
+    def test_numpy_integers_accepted(self, key):
+        assert getattr(TrainConfig(**{key: np.int64(30)}), key) == 30
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0, "1"])
+    def test_lam_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError, match="lam must be a finite number >= 0"):
+            TrainConfig(lam=lam)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), "0.5", None])
+    def test_learning_rate_must_be_finite(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be a finite number"):
+            TrainConfig(learning_rate=lr)
