@@ -67,6 +67,13 @@ def _check_count(name, value):
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _check_real(name, value):
+    """Raise ValueError naming the field unless value is a real number
+    (numpy numbers included, bool not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DwmdConfig:
     """Hyperparameters of the discrepancy series.
@@ -88,6 +95,12 @@ class DwmdConfig:
 
     def __post_init__(self):
         _check_count("n", self.n)
+        for name in ("psi", "beta", "alpha"):
+            _check_real(name, getattr(self, name))
+        if self.c_value is not None:
+            _check_real("c_value", self.c_value)
+        if not isinstance(self.standardize, (bool, np.bool_)):
+            raise ValueError(f"standardize must be a bool, got {self.standardize!r}")
         if not self.psi > 0.0:
             raise ValueError(f"psi must be > 0, got {self.psi}")
         if not 0.0 < self.beta <= 1.0:

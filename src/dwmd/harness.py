@@ -10,11 +10,12 @@ import csv
 import json
 import math
 import os
+import warnings
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .discrepancy import DwmdConfig
+from .discrepancy import DwmdConfig, _check_count
 from .nettrain import NetworkSpec, TrainConfig, TrainingDiverged, train_uda
 
 __all__ = [
@@ -43,8 +44,9 @@ class UdaExperiment:
     outputs: str = "reports"
 
     def __post_init__(self):
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        _check_count("repeats", self.repeats)
+        if not isinstance(self.outputs, (str, os.PathLike)):
+            raise ValueError(f"outputs must be a path, got {self.outputs!r}")
         kind = self.task.get("kind")
         if kind not in ("moons", "gaussian_shift", "csv"):
             raise ValueError(f"unknown task kind {kind!r}")
@@ -136,9 +138,19 @@ def load_csv(path, label_column=None):
     """Read a rectangular numeric CSV with a header row.
 
     Returns (matrix, labels) where labels is None unless label_column names a
-    column, which is then parsed as integers and excluded from the features.
-    Non-numeric and non-finite (nan, inf) feature cells are rejected. Errors
-    carry row/column coordinates (1-based, header = row 1).
+    column, which is then parsed as integers (by int(), so "1.0" is refused)
+    and excluded from the features. Non-numeric and non-finite (nan, inf)
+    feature cells are rejected. Errors carry row/column coordinates (1-based,
+    header = row 1).
+
+    The body is parsed by numpy's C reader, np.loadtxt, which takes what
+    float() takes in ASCII: surrounding whitespace, csv quoting, exponents,
+    nan and inf. Where it fails, or could read a file differently from the
+    csv module (a ragged, blank or over-long row, a bad cell or label, "1_0"
+    or non-ASCII digits, a label of magnitude 2**53 or more), the body is read
+    again cell by cell with csv.reader: that gives the same result, or the
+    error naming the first bad cell. A pipe, which cannot be read twice, is
+    always read cell by cell. Peak memory is about twice the matrix.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -151,41 +163,104 @@ def load_csv(path, label_column=None):
             if label_column not in header:
                 raise ValueError(f"{path}: no column named {label_column!r} in header")
             label_idx = header.index(label_column)
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
-                )
-            feats = []
-            for col, cell in enumerate(row):
-                if col == label_idx:
-                    try:
-                        labels.append(int(cell))
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: row {lineno}, column {col + 1}: "
-                            f"label {cell!r} is not an integer"
-                        ) from None
-                else:
-                    try:
-                        feats.append(float(cell))
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: row {lineno}, column {col + 1}: "
-                            f"{cell!r} is not numeric"
-                        ) from None
-            rows.append(feats)
+        parsed = None
+        if fh.seekable():  # a pipe cannot be read a second time
+            parsed = _loadtxt_body(fh, len(header), label_idx)
+            if parsed is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+        if parsed is None:
+            parsed = _csv_body(path, reader, header, label_idx)
+    matrix, labels = parsed
+    _check_finite(path, matrix, label_idx)
+    return matrix, labels
+
+
+def _loadtxt_body(fh, n_cols, label_idx):
+    """(matrix, labels) for the rest of fh, parsed by np.loadtxt; None where
+    that fails or could differ from _csv_body."""
+    limit = csv.field_size_limit()
+    n_lines = 0
+
+    def lines():
+        nonlocal n_lines
+        for line in fh:
+            n_lines += 1
+            # csv.reader refuses a field longer than its limit, loadtxt does
+            # not: stopping here leaves loadtxt a row short of n_lines.
+            if len(line) > limit and max(map(len, line.split(","))) > limit:
+                return
+            yield line
+
+    # encoding=None hands the converter str, not bytes, on numpy < 2 too.
+    converters = None if label_idx is None else {label_idx: int}
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data": the count below sends that to the loop.
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(
+                lines(), delimiter=",", quotechar='"', comments=None, ndmin=2,
+                dtype=np.float64, converters=converters, encoding=None,
+            )
+    except ValueError:
+        return None
+    # loadtxt skips blank lines, where the loop stops, and takes the width
+    # from the first row, not the header.
+    if n_lines == 0 or data.shape != (n_lines, n_cols):
+        return None
+    if label_idx is None:
+        return data, None
+    labels = data[:, label_idx]
+    # Each label went through int() and then float64, which is exact below 2**53.
+    if np.abs(labels).max() >= 2.0**53:
+        return None
+    return np.delete(data, label_idx, axis=1), labels.astype(np.int64)
+
+
+def _csv_body(path, reader, header, label_idx):
+    """(matrix, labels) for the rows left in reader, cell by cell: the
+    reading that names a malformed cell."""
+    rows, labels = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
+            )
+        feats = []
+        for col, cell in enumerate(row):
+            if col == label_idx:
+                try:
+                    labels.append(int(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {lineno}, column {col + 1}: "
+                        f"label {cell!r} is not an integer"
+                    ) from None
+            else:
+                try:
+                    feats.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {lineno}, column {col + 1}: "
+                        f"{cell!r} is not numeric"
+                    ) from None
+        rows.append(feats)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     matrix = np.asarray(rows, dtype=np.float64)
+    return matrix, (np.asarray(labels, dtype=np.int64) if label_idx is not None else None)
+
+
+def _check_finite(path, matrix, label_idx):
+    """Raise ValueError naming the file coordinates of the first non-finite
+    cell of matrix, if any."""
     if not np.isfinite(matrix).all():
         i, j = np.argwhere(~np.isfinite(matrix))[0]
         col = j + 1 if label_idx is None or j < label_idx else j + 2
         raise ValueError(
             f"{path}: row {i + 2}, column {col}: {str(matrix[i, j])!r} is not finite"
         )
-    return matrix, (np.asarray(labels, dtype=np.int64) if label_idx is not None else None)
 
 
 def save_csv(path, matrix, labels=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discrepancy as disc
-from .discrepancy import DwmdConfig, _check_count
+from .discrepancy import DwmdConfig, _check_count, _check_real
 from .moments import validate_samples
 
 __all__ = [
@@ -93,12 +93,16 @@ class TrainConfig:
         if not (isinstance(self.lam, numbers.Real) and 0.0 <= self.lam < np.inf):
             raise ValueError(f"lam must be a finite number >= 0, got {self.lam!r}")
         lr = self.learning_rate
-        if not (isinstance(lr, numbers.Real) and -np.inf < lr < np.inf):
-            raise ValueError(f"learning_rate must be a finite number, got {lr!r}")
+        if not (isinstance(lr, numbers.Real) and 0.0 < lr < np.inf):
+            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
+        _check_real("momentum", self.momentum)
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         for name in ("epochs", "batch_size", "cmd_order"):
             _check_count(name, getattr(self, name))
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         bw = self.mmd_bandwidth
         if bw != "median" and not (isinstance(bw, numbers.Real) and 0.0 < bw < np.inf):
             raise ValueError(f"mmd_bandwidth must be 'median' or a finite number > 0, got {bw!r}")

@@ -308,6 +308,37 @@ class TestConfigTypesCheckedOnLoad:
         assert not os.path.exists(report_dir)
 
 
+
+class TestRemainingConfigTypesCheckedOnLoad:
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("dwmd", "psi", "1"),
+            ("dwmd", "beta", "0.5"),
+            ("dwmd", "alpha", None),
+            ("dwmd", "c_value", "0.05"),
+            ("dwmd", "standardize", "false"),
+            ("cfg", "momentum", "0.5"),
+            ("cfg", "seed", 1.5),
+            ("cfg", "learning_rate", -1.0),
+            ("experiment", "repeats", 1.5),
+            ("experiment", "outputs", 5),
+        ],
+    )
+    def test_train_exit_2_naming_the_field(self, tmp_path, capsys, section, key, value):
+        config, report_dir = experiment_config(tmp_path)
+        with open(config, encoding="utf-8") as fh:
+            data = json.load(fh)
+        where = {"experiment": data, "cfg": data["cfg"], "dwmd": data["cfg"]["dwmd"]}[section]
+        where[key] = value
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        code = main(["train", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{key} must be" in err and "Traceback" not in err
+        assert not os.path.exists(report_dir)
+
 def test_discrepancy_bad_bandwidth_exit_2(one_dim_pair, capsys):
     source, target = one_dim_pair
     code = main(

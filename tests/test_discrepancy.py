@@ -289,3 +289,29 @@ def test_mmd_numeric_bandwidth_strings_read_as_numbers():
     rng = np.random.default_rng(21)
     s, t = rng.normal(size=(20, 2)), rng.normal(1, 1, (20, 2))
     assert mmd_rbf(s, t, "0.7") == mmd_rbf(s, t, 0.7)
+
+
+@pytest.mark.parametrize("key", ["psi", "beta", "alpha", "c_value"])
+@pytest.mark.parametrize("value", ["1", "0.05", True, [0.1]])
+def test_config_reals_checked_by_type(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be a real number, got {re.escape(repr(value))}$"):
+        DwmdConfig(**{key: value})
+
+
+def test_config_reals_accept_numpy_numbers():
+    config = DwmdConfig(psi=np.float32(2.0), beta=np.float64(0.5), alpha=np.int64(0), c_value=np.float64(0.1))
+    assert (config.psi, config.beta, config.alpha, config.c_value) == (2.0, 0.5, 0, 0.1)
+
+
+def test_c_value_may_be_none_off_the_scalar_policy():
+    assert DwmdConfig(c_policy="tau_first", c_value=None).c_value is None
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_standardize_must_be_a_bool(value):
+    with pytest.raises(ValueError, match="standardize must be a bool"):
+        DwmdConfig(standardize=value)
+
+
+def test_standardize_accepts_numpy_bools():
+    assert DwmdConfig(standardize=np.bool_(True)).standardize

@@ -1,9 +1,12 @@
+import csv
 import filecmp
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwmd.discrepancy import DwmdConfig, dwmd
 from dwmd.harness import (
@@ -175,7 +178,6 @@ class TestExperiment:
     def test_all_seeds_failing_raises(self, tmp_path):
         exp = small_experiment(str(tmp_path))
         bad = experiment_to_dict(exp)
-        bad["cfg"]["learning_rate"] = -1.0  # negative lr still runs; use width mismatch instead
         bad["spec"]["layer_sizes"] = [3, 8, 2]  # input width 3 vs 2-D moons
         with pytest.raises(RuntimeError, match="all seeds failed"):
             run_experiment(experiment_from_dict(bad))
@@ -345,5 +347,232 @@ class TestCsvErrorBranches:
 def test_config_types_rejected_on_load(tmp_path, section, key, value, message):
     data = experiment_to_dict(small_experiment(str(tmp_path)))
     (data["cfg"] if section == "cfg" else data["cfg"]["dwmd"])[key] = value
+    with pytest.raises(ValueError, match=message):
+        experiment_from_dict(data)
+
+
+# load_csv as it read every file cell by cell: the oracle for the loadtxt path.
+def reference_load_csv(path, label_column=None):
+    """Read a rectangular numeric CSV with a header row.
+
+    Returns (matrix, labels) where labels is None unless label_column names a
+    column, which is then parsed as integers and excluded from the features.
+    Non-numeric and non-finite (nan, inf) feature cells are rejected. Errors
+    carry row/column coordinates (1-based, header = row 1).
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        label_idx = None
+        if label_column is not None:
+            if label_column not in header:
+                raise ValueError(f"{path}: no column named {label_column!r} in header")
+            label_idx = header.index(label_column)
+        rows, labels = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
+                )
+            feats = []
+            for col, cell in enumerate(row):
+                if col == label_idx:
+                    try:
+                        labels.append(int(cell))
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: row {lineno}, column {col + 1}: "
+                            f"label {cell!r} is not an integer"
+                        ) from None
+                else:
+                    try:
+                        feats.append(float(cell))
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: row {lineno}, column {col + 1}: "
+                            f"{cell!r} is not numeric"
+                        ) from None
+            rows.append(feats)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    matrix = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(matrix).all():
+        i, j = np.argwhere(~np.isfinite(matrix))[0]
+        col = j + 1 if label_idx is None or j < label_idx else j + 2
+        raise ValueError(
+            f"{path}: row {i + 2}, column {col}: {str(matrix[i, j])!r} is not finite"
+        )
+    return matrix, (np.asarray(labels, dtype=np.int64) if label_idx is not None else None)
+
+
+def loaded(reader, path, label_column):
+    """What reader makes of the file: its arrays as bytes, shapes and
+    dtypes, or the type and text of the exception it raises."""
+    try:
+        matrix, labels = reader(path, label_column)
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = [matrix] if labels is None else [matrix, labels]
+    return [(a.tobytes(), a.shape, a.dtype, a.flags.c_contiguous) for a in arrays]
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-9, 9).map(str)
+)
+_CELL_BASES = st.one_of(
+    _NUMBERS,
+    _NUMBERS,
+    st.floats().map(repr),  # nan and +-inf included
+    st.integers(-(2**64), 2**64).map(str),
+    st.sampled_from(
+        ["", "0", "-0", "1.0", "1e5", "#", "#1", "1_0", "٣", "nan", "+nan",
+         "inf", "-inf", "Infinity", "x", "0x10", '"', '1"2"', '"1"2', '""1', " "]
+    ),
+)
+_LABELS = st.one_of(st.integers(-9, 9), st.integers(-(2**64), 2**64)).map(str)
+_PADS = st.sampled_from(["", "", " ", "\t", "\xa0"])
+_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _cells(draw):
+    cell = draw(_PADS) + draw(_CELL_BASES) + draw(_PADS)
+    return f'"{cell}"' if draw(st.integers(0, 4)) == 0 else cell
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text with a header row, and the label column to ask for: mostly
+    numeric rows, some of them padded, quoted, ragged or blank, ended by a
+    mix of line endings, with or without a final one."""
+    n_cols = draw(st.integers(1, 4))
+    label = draw(st.one_of(st.none(), st.integers(0, n_cols - 1)))
+    lines = [",".join(f"c{j}" for j in range(n_cols))]
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.sampled_from(["numeric"] * 5 + ["mixed"] * 5 + ["blank", "ragged"]))
+        width = n_cols + (draw(st.sampled_from([-1, 1])) if shape == "ragged" else 0)
+        cells = [
+            draw(_cells() if shape == "mixed" else _LABELS if j == label else _NUMBERS)
+            for j in range(width)
+        ]
+        lines.append("" if shape == "blank" else ",".join(cells))
+    endings = draw(st.lists(_ENDINGS, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, None if label is None else f"c{label}"
+
+
+class TestLoadCsvMatchesTheCellLoop:
+    @given(case=csv_texts())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_arrays_or_same_error(self, tmp_path_factory, case):
+        text, label_column = case
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert loaded(load_csv, path, label_column) == loaded(reference_load_csv, path, label_column)
+
+    @pytest.mark.parametrize("label", [2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 2**63 - 1, 2**63])
+    def test_labels_are_never_rounded_through_float64(self, tmp_path, label):
+        path = tmp_path / "x.csv"
+        path.write_text(f"f0,label\n0.5,{label}\n1.5,1\n")
+        assert loaded(load_csv, path, "label") == loaded(reference_load_csv, path, "label")
+
+    def test_float_label_refused(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("f0,label\n0.5,0\n1.5,1.0\n")
+        with pytest.raises(ValueError, match="row 3, column 2: label '1.0' is not an integer"):
+            load_csv(path, "label")
+
+    def test_blank_line_is_a_row_of_no_cells(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n1,2\n\n3,4\n")
+        with pytest.raises(ValueError, match="row 3 has 0 cells, expected 2"):
+            load_csv(path)
+
+    def test_rows_wider_than_the_header(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n1,2,3\n4,5,6\n")
+        with pytest.raises(ValueError, match="row 2 has 3 cells, expected 2"):
+            load_csv(path)
+
+    def test_field_size_limit_still_applies(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b,c\n1.25,2.5,3\n1.0000000001,2,3\n")
+        old = csv.field_size_limit(10)
+        try:
+            short_fields = tmp_path / "short.csv"
+            short_fields.write_text("a,b,c\n1.25,2.5,3\n")  # the row is longer than 10
+            assert loaded(load_csv, short_fields, None) == loaded(reference_load_csv, short_fields, None)
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                load_csv(path)
+        finally:
+            csv.field_size_limit(old)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("a,b\n1,2\n3,4\n", None), ("a,b\n1,2\n3\n", "row 3 has 1 cells, expected 2")],
+    )
+    def test_pipe_is_read_once(self, text, expected):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, text.encode())
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
+            if expected is None:
+                matrix, _ = load_csv(path)
+                np.testing.assert_array_equal(matrix, [[1, 2], [3, 4]])
+            else:
+                with pytest.raises(ValueError, match=expected):
+                    load_csv(path)
+        finally:
+            os.close(read_end)
+
+
+@pytest.mark.parametrize("repeats, message", [
+    (1.5, "repeats must be an integer"),
+    ("2", "repeats must be an integer"),
+    (True, "repeats must be an integer"),
+    (0, "repeats must be >= 1"),
+])
+def test_repeats_must_be_a_count(tmp_path, repeats, message):
+    with pytest.raises(ValueError, match=message):
+        replace(small_experiment(str(tmp_path)), repeats=repeats)
+
+
+@pytest.mark.parametrize("outputs", [5, None, ["reports"]])
+def test_outputs_must_be_a_path(tmp_path, outputs):
+    with pytest.raises(ValueError, match="outputs must be a path"):
+        replace(small_experiment(str(tmp_path)), outputs=outputs)
+
+
+def test_outputs_may_be_a_path_object(tmp_path):
+    assert replace(small_experiment(str(tmp_path)), outputs=tmp_path).outputs == tmp_path
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("dwmd", "psi", "1", "psi must be a real number"),
+        ("dwmd", "beta", "0.5", "beta must be a real number"),
+        ("dwmd", "alpha", None, "alpha must be a real number"),
+        ("dwmd", "c_value", "0.05", "c_value must be a real number"),
+        ("dwmd", "standardize", "false", "standardize must be a bool"),
+        ("cfg", "momentum", "0.5", "momentum must be a real number"),
+        ("cfg", "seed", 1.5, "seed must be an integer >= 0"),
+        ("cfg", "seed", -1, "seed must be an integer >= 0"),
+        ("cfg", "learning_rate", 0.0, "learning_rate must be a finite number > 0"),
+        ("cfg", "learning_rate", -1.0, "learning_rate must be a finite number > 0"),
+        ("experiment", "repeats", 1.5, "repeats must be an integer"),
+        ("experiment", "outputs", 5, "outputs must be a path"),
+    ],
+)
+def test_remaining_config_types_rejected_on_load(tmp_path, section, key, value, message):
+    data = experiment_to_dict(small_experiment(str(tmp_path)))
+    {"experiment": data, "cfg": data["cfg"], "dwmd": data["cfg"]["dwmd"]}[section][key] = value
     with pytest.raises(ValueError, match=message):
         experiment_from_dict(data)

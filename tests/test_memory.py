@@ -1,5 +1,5 @@
-"""Allocation peaks of the weight profile and the gradient kernels,
-measured with tracemalloc.
+"""Allocation peaks of the weight profile, the gradient kernels and the
+CSV reader, measured with tracemalloc.
 
 numpy reports its array buffers to tracemalloc, so the peak above the
 traced memory at entry counts every array a call builds, its outputs
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dwmd.discrepancy import cmd_with_gradient, dwmd_gradient, mmd_rbf_with_gradient
+from dwmd.harness import load_csv, save_csv
 from dwmd.moments import raw_moments
 from dwmd.weighting import weight_profile
 
@@ -73,3 +74,22 @@ def test_raw_moments_keep_one_scratch_array(moment_pair):
     s, _ = moment_pair
     peak = peak_bytes(lambda: raw_moments(s, 5))
     assert peak < 1.25 * s.nbytes
+
+
+@pytest.mark.parametrize("with_labels", [False, True])
+def test_load_csv_peak_is_about_twice_the_matrix(tmp_path, with_labels):
+    rng = np.random.default_rng(10)
+    matrix = rng.normal(size=(10_000, 32))
+    labels = rng.integers(0, 2, 10_000) if with_labels else None
+    path = tmp_path / "large.csv"
+    save_csv(path, matrix, labels)
+    peak = peak_bytes(lambda: load_csv(path, "label" if with_labels else None))
+    assert peak < 2.5 * matrix.nbytes
+
+
+def test_load_csv_peak_on_a_small_labelled_file(tmp_path):
+    rng = np.random.default_rng(11)
+    path = tmp_path / "small.csv"
+    save_csv(path, rng.normal(size=(1000, 2)), rng.integers(0, 2, 1000))
+    peak = peak_bytes(lambda: load_csv(path, "label"))
+    assert peak < 0.2e6

@@ -330,3 +330,22 @@ class TestConfigTypes:
     def test_learning_rate_must_be_finite(self, lr):
         with pytest.raises(ValueError, match="learning_rate must be a finite number"):
             TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("lr", [0, 0.0, -1.0])
+    def test_learning_rate_must_be_positive(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be a finite number > 0"):
+            TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("momentum", ["0.5", None, True])
+    def test_momentum_must_be_a_real_number(self, momentum):
+        with pytest.raises(ValueError, match="momentum must be a real number"):
+            TrainConfig(momentum=momentum)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", None, True, -1])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            TrainConfig(seed=seed)
+
+    def test_seed_accepts_zero_and_numpy_integers(self):
+        assert TrainConfig(seed=0).seed == 0
+        assert TrainConfig(seed=np.int64(7)).seed == 7
