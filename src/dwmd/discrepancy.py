@@ -14,9 +14,11 @@ Gaussian-kernel MMD.
 
 Both moment gradients are power series in a sample entry: sum_k c_k x^k with
 one (order, dimension) coefficient row per power, in the raw samples for the
-series and in the centred samples for CMD (each side is centred once, for its
-moments and its gradient alike). One helper, _power_series, evaluates them by
-Horner's rule, in one array per sample matrix. The MMD value
+series and in the centred samples for CMD (each block of rows is centred as it
+is read, for the moments and the gradient alike, so no centred copy of a side
+exists). One helper, _power_series, evaluates them by Horner's rule, into one
+output array per sample matrix, one block of moments.BLOCK_ROWS rows at a
+time. The MMD value
 and gradient are accumulated over blocks of rows of the pooled kernel matrix,
 at most BLOCK_ENTRIES entries each, so the (m_s + m_t)^2 matrix never exists;
 its median bandwidth is taken over at most MEDIAN_ROWS pooled rows.
@@ -27,7 +29,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .moments import _central_moments, _power_means, _pooled_mean_scale, _validate_pair
+from .moments import (
+    BLOCK_ROWS,
+    _central_moments,
+    _pooled_mean_scale,
+    _power_means,
+    _row_blocks,
+    _validate_pair,
+)
 from .weighting import C_POLICIES, WeightProfile, _median_in_place, weight_profile
 
 __all__ = [
@@ -215,14 +224,27 @@ def _series(s, t, config=None, frozen=None, uniform=False, with_gradient=False):
     return report, grad_s, grad_t
 
 
-def _power_series(x, coeff):
-    """Elementwise polynomial sum_k coeff[k] * x^k for a (K, d) coefficient
-    array, by Horner's rule in place. Both gradients are evaluated here."""
+def _power_series(x, coeff, shift=None):
+    """Elementwise polynomial sum_k coeff[k] * (x - shift)^k for a (K, d)
+    coefficient array (in x when shift is None), by Horner's rule in place,
+    one block of rows at a time, each centred as it is read. Both gradients
+    are evaluated here."""
     out = np.empty_like(x)
-    out[...] = coeff[-1]
-    for row in coeff[-2::-1]:
-        out *= x
-        out += row
+    blocks = _row_blocks(x)
+    centred = None
+    if shift is not None and len(blocks) > 1:
+        centred = np.empty((BLOCK_ROWS, x.shape[1]))
+    for rows in blocks:
+        block = x[rows]
+        if centred is not None:
+            block = np.subtract(block, shift, out=centred[: block.shape[0]])
+        elif shift is not None:
+            block = block - shift
+        acc = out[rows]
+        acc[...] = coeff[-1]
+        for row in coeff[-2::-1]:
+            acc *= block
+            acc += row
     return out
 
 
@@ -293,8 +315,8 @@ def cmd_with_gradient(source, target, k=5, widths=None):
     s, t = _validate_pair(source, target)
     if widths is None:
         widths = _cmd_widths(s, t)
-    cs, s = _central_moments(s, k)
-    ct, t = _central_moments(t, k)
+    cs, mu_s = _central_moments(s, k)
+    ct, mu_t = _central_moments(t, k)
     orders = np.arange(1, k + 1)[:, None]
     w_pow = widths**orders
     v = (cs - ct) / w_pow
@@ -310,11 +332,10 @@ def cmd_with_gradient(source, target, k=5, widths=None):
 
     # d mu / d x_i = 1/m and, for o >= 2, d c_o / d x_i = (o/m) *
     # ((x_i - mu)^(o-1) - c_(o-1)) with the centred c_1 = 0: each side's
-    # gradient is a power series in the centred samples s and t (centred
-    # once, above) whose constant row absorbs the c_(o-1) terms.
-    grad_s = _power_series(s, _cmd_coeff(dnorm, cs, orders / s.shape[0]))
-    del s  # so the target's gradient is not built beside the centred source
-    grad_t = _power_series(t, _cmd_coeff(dnorm, ct, orders / -t.shape[0]))
+    # gradient is a power series in the centred samples x - mu whose
+    # constant row absorbs the c_(o-1) terms.
+    grad_s = _power_series(s, _cmd_coeff(dnorm, cs, orders / s.shape[0]), mu_s)
+    grad_t = _power_series(t, _cmd_coeff(dnorm, ct, orders / -t.shape[0]), mu_t)
     return total, grad_s, grad_t
 
 
@@ -343,11 +364,16 @@ def median_heuristic_bandwidth(sq):
     """Median Euclidean distance over the distinct pairs i < j of a pooled
     squared-distance matrix; falls back to 1.0 when all points coincide.
 
-    sq is overwritten: its diagonal and lower triangle are set to -inf and
-    the whole matrix is partitioned in place, so no copy of the pairs is made.
+    sq is overwritten: its diagonal and lower triangle are set to -inf, a
+    block of rows at a time so that the mask stays within BLOCK_ENTRIES / 8
+    bytes, and the whole matrix is partitioned in place, so no copy of the
+    pairs is made.
     """
     m = sq.shape[0]
-    sq[np.tri(m, dtype=bool)] = -np.inf
+    step = max(1, BLOCK_ENTRIES // (8 * m))
+    for start in range(0, m, step):
+        rows = sq[start : start + step]
+        np.copyto(rows, -np.inf, where=np.tri(rows.shape[0], m, start, dtype=bool))
     med = float(np.sqrt(_median_in_place(sq.reshape(-1), skip=m * (m + 1) // 2)))
     return med if med > 0.0 else 1.0
 

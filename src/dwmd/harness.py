@@ -11,6 +11,7 @@ import json
 import math
 import os
 import warnings
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -399,15 +400,24 @@ def _checked_kwargs(data, schema, where):
     return data
 
 
+def _mapping(value, name):
+    """value as a new dict; a ValueError names the field unless it is a
+    mapping."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{name} must be a mapping, got {value!r}")
+    return dict(value)
+
+
 def experiment_from_dict(data):
     """Inverse of experiment_to_dict; unknown keys anywhere are errors."""
-    data = _checked_kwargs(dict(data), UdaExperiment, "experiment")
-    spec_data = _checked_kwargs(dict(data["spec"]), NetworkSpec, "spec")
-    cfg_data = dict(data.get("cfg", {}))
-    dwmd_data = _checked_kwargs(dict(cfg_data.pop("dwmd", {})), DwmdConfig, "cfg.dwmd")
+    data = _checked_kwargs(_mapping(data, "experiment"), UdaExperiment, "experiment")
+    spec_data = _checked_kwargs(_mapping(data.get("spec"), "spec"), NetworkSpec, "spec")
+    cfg_data = _mapping(data.get("cfg", {}), "cfg")
+    dwmd_data = _mapping(cfg_data.pop("dwmd", {}), "cfg.dwmd")
+    dwmd_data = _checked_kwargs(dwmd_data, DwmdConfig, "cfg.dwmd")
     cfg_data = _checked_kwargs(cfg_data, TrainConfig, "cfg")
     return UdaExperiment(
-        task=dict(data["task"]),
+        task=_mapping(data.get("task"), "task"),
         spec=NetworkSpec(**spec_data),
         cfg=TrainConfig(dwmd=DwmdConfig(**dwmd_data), **cfg_data),
         repeats=data.get("repeats", 5),

@@ -4,21 +4,31 @@ A sample matrix is an (m, d) array of real feature activations, one row per
 sample. All statistics are computed per dimension (per column) in double
 precision, whatever the storage dtype of the input.
 
-The moments of orders 1..n come from one pass per order over a single
-scratch array holding the running power, multiplied in place; besides its
-(n, d) result a moment call allocates one m x d array (two for central
-moments, whose centred copy is handed back to CMD's gradient).
+The moments of orders 1..n come from one walk over the rows, BLOCK_ROWS at a
+time: every order is reduced from a block while it sits in cache, and the
+column sums run on across blocks in the order numpy would add the rows of
+the whole matrix, so the result is bit-identical to one pass per order.
+Besides its (n, d) result a moment call allocates one block of scratch (two
+for central moments, whose blocks are centred as they are read). An input
+numpy would sum pairwise (d = 1, F order, a strided view) stays one block:
+one m x d scratch array (two for central moments).
 """
 
 import numpy as np
 
 __all__ = [
+    "BLOCK_ROWS",
     "MomentOverflowError",
     "validate_samples",
     "raw_moments",
     "central_moments",
     "standardize_pooled",
 ]
+
+# Rows per block of the moment, power-series and transpose passes: a
+# 1024 x 64 float64 block is 512 KB, inside a 2 MiB L2 with room for a
+# second block beside it.
+BLOCK_ROWS = 1024
 
 
 class MomentOverflowError(FloatingPointError):
@@ -55,27 +65,45 @@ def _validate_pair(source, target):
     return s, t
 
 
-def _power_means(x, n, what):
-    """Column means of x^k for k = 1..n as an (n, d) array; a non-finite
-    mean raises MomentOverflowError naming the lowest such order.
+def _row_blocks(x):
+    """Row slices that cover x, for a pass that works one block at a time.
 
-    The running power lives in one scratch array, multiplied by x in place,
-    and each order's column sums are reduced straight into its output row;
-    all orders are divided by m once at the end. That is what .mean(axis=0)
-    does per order, so the result is bit-identical to it.
+    numpy reduces axis 0 of a C-contiguous matrix with d >= 2 row by row, so
+    a column sum carried from one block of BLOCK_ROWS rows to the next keeps
+    its bits. Any other matrix (d = 1, F order, a strided view) may be summed
+    pairwise, by a rule that depends on m, and stays one block.
+    """
+    m, d = x.shape
+    if d < 2 or not x.flags.c_contiguous:
+        return [slice(0, m)]
+    return [slice(start, start + BLOCK_ROWS) for start in range(0, m, BLOCK_ROWS)]
+
+
+def _power_means(x, n, what, shift=None):
+    """Column means of (x - shift)^k for k = 1..n as an (n, d) array (of x^k
+    when shift is None); a non-finite mean raises MomentOverflowError naming
+    the lowest such order.
+
+    Each block of rows is centred as it is read. Each order's column sums run
+    on from block to block and all orders are divided by m once at the end.
+    That is what .mean(axis=0) does per order, so the result is bit-identical
+    to it.
     """
     if n < 1:
         raise ValueError(f"moment order must be >= 1, got {n}")
     out = np.empty((n, x.shape[1]), dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add.reduce(x, axis=0, out=out[0])
-        power = x
-        for k in range(1, n):
-            # x * x is the one new array; later orders overwrite it.
-            power = np.multiply(power, x, out=None if k == 1 else power)
-            np.add.reduce(power, axis=0, out=out[k])
-        del power  # before the check below allocates
-        out /= x.shape[0]
+    blocks = _row_blocks(x)
+    if len(blocks) == 1:
+        _sum_powers(x if shift is None else x - shift, out)
+    else:
+        scratch = np.empty((BLOCK_ROWS + 1, x.shape[1]))
+        centred = None if shift is None else np.empty((BLOCK_ROWS, x.shape[1]))
+        for i, rows in enumerate(blocks):
+            block = x[rows]
+            if shift is not None:
+                block = np.subtract(block, shift, out=centred[: block.shape[0]])
+            _sum_block_powers(block, out, scratch, carry=i > 0)
+    out /= x.shape[0]
     if not np.isfinite(out).all():
         k, j = np.argwhere(~np.isfinite(out))[0]
         raise MomentOverflowError(
@@ -85,12 +113,46 @@ def _power_means(x, n, what):
     return out
 
 
+def _sum_powers(x, out):
+    """Column sums of x^k for k = 1..len(out) into the rows of out, in one
+    pass per order over a single scratch array multiplied in place."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.reduce(x, axis=0, out=out[0])
+        power = x
+        for k in range(1, out.shape[0]):
+            # x * x is the one new array; later orders overwrite it.
+            power = np.multiply(power, x, out=None if k == 1 else power)
+            np.add.reduce(power, axis=0, out=out[k])
+
+
+def _sum_block_powers(block, out, scratch, carry):
+    """_sum_powers for one block of b rows, built in place in scratch[1:b+1].
+
+    With carry set, out already holds the sums of the blocks before: each
+    order's sum is copied into scratch[0] and reduced with the block's
+    powers, which adds the rows to it one by one, as a single reduction of
+    the whole matrix would.
+    """
+    b = block.shape[0]
+    power = scratch[1 : b + 1]
+    power[...] = block
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(out.shape[0]):
+            if k:
+                power *= block
+            if carry:
+                scratch[0] = out[k]
+                np.add.reduce(scratch[: b + 1], axis=0, out=out[k])
+            else:
+                np.add.reduce(power, axis=0, out=out[k])
+
+
 def raw_moments(samples, n):
     """Per-dimension empirical raw moments E[X^k] for k = 1..n.
 
     Returns an (n, d) array where row k-1 holds the column means of the k-th
-    elementwise power. Deterministic and independent of row order (numpy's
-    pairwise summation over a fixed-length axis).
+    elementwise power. Deterministic; reordering the rows changes it only
+    by rounding.
     """
     return _power_means(validate_samples(samples), n, "raw")
 
@@ -103,12 +165,11 @@ def central_moments(samples, n):
 
 def _central_moments(x, n):
     """central_moments of an already validated float64 matrix, and the
-    centred matrix x - mean it was computed from (CMD's gradient reuses it)."""
+    column mean it centres on (CMD's gradient centres with it again)."""
     mu = x.mean(axis=0)
-    centred = x - mu
-    out = _power_means(centred, n, "central")
+    out = _power_means(x, n, "central", shift=mu)
     out[0] = mu
-    return out, centred
+    return out, mu
 
 
 def standardize_pooled(source, target):

@@ -32,6 +32,20 @@ REGULARIZERS = ("dwmd", "smd", "cmd", "mmd", "none")
 MIN_TRIMMING_BATCH = 20
 
 
+def _int_tuple(name, values):
+    """values as a tuple of ints; a ValueError names the field unless it is
+    a sequence of integers (numpy integers included, bool not)."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        items = None
+    if items is None or any(
+        isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Integral) for v in items
+    ):
+        raise ValueError(f"{name} must be a list of integers, got {values!r}")
+    return tuple(int(v) for v in items)
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture: layer_sizes runs input -> hidden widths -> classes;
@@ -44,9 +58,9 @@ class NetworkSpec:
     matched_layers: tuple
 
     def __post_init__(self):
-        sizes = tuple(int(v) for v in self.layer_sizes)
+        sizes = _int_tuple("layer_sizes", self.layer_sizes)
         acts = tuple(self.activations)
-        matched = tuple(int(v) for v in self.matched_layers)
+        matched = _int_tuple("matched_layers", self.matched_layers)
         object.__setattr__(self, "layer_sizes", sizes)
         object.__setattr__(self, "activations", acts)
         object.__setattr__(self, "matched_layers", matched)

@@ -13,15 +13,17 @@ found by selection (introselect, through np.partition) in expected O(m) time
 per dimension, not by sorting; among samples tied at the cut the earliest rows
 are kept, so a row permutation moves a trimmed mean only by rounding when no
 distances tie. The samples are first copied to one contiguous row per
-dimension, transposed in blocks of TRANSPOSE_ROWS rows so that each block
-stays in cache.
+dimension, transposed in blocks of BLOCK_ROWS rows so that each block stays
+in cache; the median, the distances, the selections and the masked sum then
+run on blocks of dimensions holding about as many entries, with one
+block-sized distance buffer.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import _validate_pair, validate_samples
+from .moments import BLOCK_ROWS, _validate_pair, validate_samples
 
 __all__ = ["WeightProfile", "robust_dim_means", "weight_profile", "TAU_FLOOR", "C_FLOOR", "C_POLICIES"]
 
@@ -32,9 +34,6 @@ TAU_FLOOR = 1e-6
 C_FLOOR = 1e-8
 # The ways the series constant C can be resolved (see resolve_c).
 C_POLICIES = ("scalar", "tau_first", "tau_vector")
-# Rows per block of the transpose in the trimmed means: a 1024 x 64 float64
-# block is 512 KB, inside a 2 MiB L2 with room for its transposed copy.
-TRANSPOSE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ def _trimmed_means(x, alpha):
     """robust_dim_means of an already validated float64 matrix."""
     if not 0.0 <= alpha < 0.5:
         raise ValueError(f"alpha must be in [0, 0.5), got {alpha}")
-    m = x.shape[0]
+    m, d = x.shape
     n_drop = int(np.ceil(alpha * m))
     n_keep = m - n_drop
     if n_keep < 1:
@@ -105,21 +104,34 @@ def _trimmed_means(x, alpha):
     if n_drop == 0:
         return x.mean(axis=0)
     # One contiguous row per dimension: median and partition run along it.
-    cols = np.empty((x.shape[1], m))
-    for start in range(0, m, TRANSPOSE_ROWS):
-        cols[:, start : start + TRANSPOSE_ROWS] = x[start : start + TRANSPOSE_ROWS].T
+    cols = np.empty((d, m))
+    for start in range(0, m, BLOCK_ROWS):
+        cols[:, start : start + BLOCK_ROWS] = x[start : start + BLOCK_ROWS].T
     del start  # else the loop's last int object counts in the peak below
-    dist = cols.copy()
+    # Dimensions per block: about as many entries as BLOCK_ROWS rows of x.
+    step = max(1, BLOCK_ROWS * d // m)
+    dist = np.empty((min(step, d), m))
+    sums = np.empty(d)
+    for j in range(0, d, step):
+        block = cols[j : j + step]
+        sums[j : j + step] = _kept_sums(block, dist[: block.shape[0]], n_keep)
+    return sums / n_keep
+
+
+def _kept_sums(cols, dist, n_keep):
+    """Per row of cols, the sum of the n_keep entries nearest the row's
+    median (ties at the cut broken towards the earliest entries), in entry
+    order; dist is a scratch array of the same shape."""
+    np.copyto(dist, cols)
     med = _median_in_place(dist)[:, None]
     np.abs(np.subtract(cols, med, out=dist), out=dist)
     # The n_keep-th smallest distance, selected in place; recomputing the
-    # distances afterwards restores row order without a second m x d buffer.
+    # distances afterwards restores row order without a second buffer.
     dist.partition(n_keep - 1, axis=1)
     thr = dist[:, n_keep - 1 : n_keep].copy()
     np.abs(np.subtract(cols, med, out=dist), out=dist)
     keep = dist < thr
     tied = dist == thr
-    del dist
     # Among distances equal to thr keep the earliest rows, as a stable sort
     # would; only dimensions with more ties than places left need the count.
     need = n_keep - np.count_nonzero(keep, axis=1)
@@ -127,7 +139,7 @@ def _trimmed_means(x, alpha):
     if surplus.size:
         tied[surplus] &= np.cumsum(tied[surplus], axis=1) <= need[surplus, None]
     keep |= tied
-    return cols.sum(axis=1, where=keep) / n_keep
+    return cols.sum(axis=1, where=keep)
 
 
 def resolve_c(tau, c_policy, c_value=None):

@@ -339,6 +339,30 @@ class TestRemainingConfigTypesCheckedOnLoad:
         assert f"{key} must be" in err and "Traceback" not in err
         assert not os.path.exists(report_dir)
 
+class TestConfigSectionsAndLayerListsNamedOnLoad:
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("experiment", "task", "moons"),
+            ("experiment", "spec", [2, 8, 2]),
+            ("spec", "layer_sizes", [2, "x", 2]),
+            ("spec", "matched_layers", 0),
+        ],
+    )
+    def test_train_exit_2_naming_the_field(self, tmp_path, capsys, section, key, value):
+        config, report_dir = experiment_config(tmp_path)
+        with open(config, encoding="utf-8") as fh:
+            data = json.load(fh)
+        {"experiment": data, "spec": data["spec"]}[section][key] = value
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        code = main(["train", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{key} must be" in err and "Traceback" not in err
+        assert not os.path.exists(report_dir)
+
+
 def test_discrepancy_bad_bandwidth_exit_2(one_dim_pair, capsys):
     source, target = one_dim_pair
     code = main(

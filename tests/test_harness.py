@@ -576,3 +576,29 @@ def test_remaining_config_types_rejected_on_load(tmp_path, section, key, value, 
     {"experiment": data, "cfg": data["cfg"], "dwmd": data["cfg"]["dwmd"]}[section][key] = value
     with pytest.raises(ValueError, match=message):
         experiment_from_dict(data)
+
+
+BAD_SECTIONS_AND_LAYER_LISTS = [
+    ("experiment", "task", "moons", "task must be a mapping"),
+    ("experiment", "spec", [2, 8, 2], "spec must be a mapping"),
+    ("experiment", "cfg", None, "cfg must be a mapping"),
+    ("cfg", "dwmd", "default", "cfg.dwmd must be a mapping"),
+    ("spec", "layer_sizes", [2, "x", 2], "layer_sizes must be a list of integers"),
+    ("spec", "layer_sizes", [2, 8.0, 2], "layer_sizes must be a list of integers"),
+    ("spec", "layer_sizes", 8, "layer_sizes must be a list of integers"),
+    ("spec", "matched_layers", 0, "matched_layers must be a list of integers"),
+    ("spec", "matched_layers", [True], "matched_layers must be a list of integers"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, message", BAD_SECTIONS_AND_LAYER_LISTS)
+def test_config_sections_and_layer_lists_named_on_load(tmp_path, section, key, value, message):
+    data = experiment_to_dict(small_experiment(str(tmp_path)))
+    {"experiment": data, "cfg": data["cfg"], "spec": data["spec"]}[section][key] = value
+    with pytest.raises(ValueError, match=message):
+        experiment_from_dict(data)
+
+
+def test_config_must_be_a_mapping():
+    with pytest.raises(ValueError, match="experiment must be a mapping"):
+        experiment_from_dict([1, 2])

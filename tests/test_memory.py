@@ -44,13 +44,13 @@ def test_dwmd_gradient_keeps_one_array_per_side(moment_pair):
 def test_weight_profile_peak(moment_pair):
     s, t = moment_pair
     peak = peak_bytes(lambda: weight_profile(s, t, 0.1, "scalar", 0.05))
-    assert peak < 2.75 * s.nbytes
+    assert peak < 1.75 * s.nbytes
 
 
 def test_cmd_gradient_peak(moment_pair):
     s, t = moment_pair
     peak = peak_bytes(lambda: cmd_with_gradient(s, t, 5))
-    assert peak < 3.5 * s.nbytes
+    assert peak < 2.75 * s.nbytes
 
 
 @pytest.mark.parametrize("bandwidth, limit", [("median", 1.8), (1.0, 1.2)])
@@ -70,10 +70,18 @@ def test_mmd_never_builds_the_pooled_matrix():
     assert peak < pooled_matrix / 6
 
 
+def test_median_bandwidth_masks_the_triangle_by_row_blocks():
+    from dwmd.discrepancy import MEDIAN_ROWS, _sq_dists, median_heuristic_bandwidth
+
+    sq = _sq_dists(np.random.default_rng(12).normal(size=(MEDIAN_ROWS, 4)))
+    peak = peak_bytes(lambda: median_heuristic_bandwidth(sq))
+    assert peak < sq.nbytes / 50  # an m x m bool mask is sq.nbytes / 8
+
+
 def test_raw_moments_keep_one_scratch_array(moment_pair):
     s, _ = moment_pair
     peak = peak_bytes(lambda: raw_moments(s, 5))
-    assert peak < 1.25 * s.nbytes
+    assert peak < 0.5 * s.nbytes
 
 
 @pytest.mark.parametrize("with_labels", [False, True])
