@@ -9,6 +9,7 @@ from .discrepancy import (
     dwmd,
     dwmd_from_moments,
     dwmd_gradient,
+    dwmd_with_gradient,
     mmd_rbf,
     mmd_rbf_with_gradient,
     smd,
@@ -41,6 +42,7 @@ __all__ = [
     "dwmd",
     "dwmd_from_moments",
     "dwmd_gradient",
+    "dwmd_with_gradient",
     "evaluate",
     "forward",
     "mmd_rbf",

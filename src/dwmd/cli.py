@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .discrepancy import DwmdConfig, cmd, dwmd, mmd_rbf, smd
+from .discrepancy import DwmdConfig, _check_count, cmd, dwmd, mmd_rbf, smd
 from .weighting import C_POLICIES
 
 
@@ -77,16 +77,17 @@ def _build_parser():
 def _cmd_discrepancy(args):
     source, _ = harness.load_csv(args.source, args.label_column)
     target, _ = harness.load_csv(args.target, args.label_column)
-    config = DwmdConfig(
-        n=args.n,
-        psi=args.psi,
-        beta=args.beta,
-        c_policy=args.c_policy,
-        c_value=args.c,
-        alpha=args.alpha,
-        standardize=args.standardize,
-    )
     if args.metric in ("dwmd", "smd"):
+        # Only the series reads these flags, so only the series checks them.
+        config = DwmdConfig(
+            n=args.n,
+            psi=args.psi,
+            beta=args.beta,
+            c_policy=args.c_policy,
+            c_value=args.c,
+            alpha=args.alpha,
+            standardize=args.standardize,
+        )
         report = (dwmd if args.metric == "dwmd" else smd)(source, target, config)
         bound = report.truncation_bound
         if args.json:
@@ -113,6 +114,7 @@ def _cmd_discrepancy(args):
             )
     else:
         if args.metric == "cmd":
+            _check_count("n", args.n)
             value = cmd(source, target, args.n)
         else:
             value = mmd_rbf(source, target, args.bandwidth)

@@ -30,12 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moments import (
-    BLOCK_ROWS,
-    _central_moments,
-    _pooled_mean_scale,
-    _power_means,
-    _row_blocks,
-    _validate_pair,
+    _central_moments, _pooled_mean_scale, _power_means, _row_blocks, _validate_pair
 )
 from .weighting import C_POLICIES, WeightProfile, _median_in_place, weight_profile
 
@@ -45,6 +40,7 @@ __all__ = [
     "dwmd",
     "dwmd_from_moments",
     "dwmd_gradient",
+    "dwmd_with_gradient",
     "smd",
     "smd_gradient",
     "truncation_bound",
@@ -76,11 +72,36 @@ def _check_count(name, value):
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _is_real(value):
+    """Whether value is a real number (numpy numbers included, bool not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_real(name, value):
     """Raise ValueError naming the field unless value is a real number
     (numpy numbers included, bool not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_real(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _sequence(name, values, kind):
+    """values as a tuple of kind (int, float or str); a ValueError names the
+    field unless it is a sequence, not a string, of integers, real numbers
+    or strings (numpy numbers included, bool not)."""
+    abstract, what = {
+        int: (numbers.Integral, "integers"),
+        float: (numbers.Real, "real numbers"),
+        str: (str, "strings"),
+    }[kind]
+    try:
+        items = None if isinstance(values, str) else tuple(values)
+    except TypeError:
+        items = None
+    if items is None or any(
+        isinstance(v, (bool, np.bool_)) or not isinstance(v, abstract) for v in items
+    ):
+        raise ValueError(f"{name} must be a list of {what}, got {values!r}")
+    return tuple(kind(v) for v in items)
 
 
 @dataclass(frozen=True)
@@ -231,15 +252,11 @@ def _power_series(x, coeff, shift=None):
     are evaluated here."""
     out = np.empty_like(x)
     blocks = _row_blocks(x)
-    centred = None
-    if shift is not None and len(blocks) > 1:
-        centred = np.empty((BLOCK_ROWS, x.shape[1]))
+    centred = None if shift is None else np.empty_like(x[blocks[0]])
     for rows in blocks:
         block = x[rows]
-        if centred is not None:
+        if shift is not None:
             block = np.subtract(block, shift, out=centred[: block.shape[0]])
-        elif shift is not None:
-            block = block - shift
         acc = out[rows]
         acc[...] = coeff[-1]
         for row in coeff[-2::-1]:
@@ -278,16 +295,25 @@ def smd(source, target, config=None, profile=None):
     return _series(*_validate_pair(source, target), config, profile, uniform=True)
 
 
+def dwmd_with_gradient(source, target, config=None, profile=None, uniform=False):
+    """The series report and its gradient with respect to every source and
+    target entry, (report, grad_source, grad_target), from one pass: the
+    weight profile and the moments are built once. The gradient holds the
+    weight profile constant; uniform gives the uniform-weight variant (SMD).
+    """
+    s, t = _validate_pair(source, target)
+    return _series(s, t, config, profile, uniform, with_gradient=True)
+
+
 def dwmd_gradient(source, target, config=None, profile=None):
     """Partial derivatives of the series total with respect to every source
     and target entry (weight profile held constant)."""
-    return _series(*_validate_pair(source, target), config, profile, with_gradient=True)[1:]
+    return dwmd_with_gradient(source, target, config, profile)[1:]
 
 
 def smd_gradient(source, target, config=None, profile=None):
     """Gradient of the uniform-weight variant."""
-    s, t = _validate_pair(source, target)
-    return _series(s, t, config, profile, uniform=True, with_gradient=True)[1:]
+    return dwmd_with_gradient(source, target, config, profile, uniform=True)[1:]
 
 
 def _cmd_widths(source, target):
@@ -304,8 +330,7 @@ def cmd(source, target, k=5):
     to the moment order. The range stands in for the interval width the
     formula assumes; unbounded activations make it unstable by construction.
     """
-    value, _, _ = cmd_with_gradient(source, target, k)
-    return value
+    return cmd_with_gradient(source, target, k)[0]
 
 
 def cmd_with_gradient(source, target, k=5, widths=None):
@@ -409,8 +434,7 @@ def mmd_rbf(source, target, bandwidth="median"):
     """Biased (V-statistic) Gaussian-kernel MMD: mean kernel within each
     domain minus twice the cross mean. Nonnegative in exact arithmetic; the
     computed value is clamped at 0 against rounding."""
-    value, _, _ = mmd_rbf_with_gradient(source, target, bandwidth)
-    return value
+    return mmd_rbf_with_gradient(source, target, bandwidth)[0]
 
 
 def mmd_rbf_with_gradient(source, target, bandwidth="median"):

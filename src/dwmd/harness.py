@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .discrepancy import DwmdConfig, _check_count
+from .discrepancy import DwmdConfig, _check_count, _check_real, _sequence
 from .nettrain import NetworkSpec, TrainConfig, TrainingDiverged, train_uda
 
 __all__ = [
@@ -33,6 +33,54 @@ __all__ = [
 ]
 
 
+def _check_path(name, value):
+    if not isinstance(value, (str, os.PathLike)):
+        raise ValueError(f"{name} must be a path, got {value!r}")
+
+
+def _check_label_column(name, value):
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{name} must be a column name or null, got {value!r}")
+
+
+def _check_reals(name, value):
+    _sequence(name, value, float)
+
+
+# The keys each task kind reads, with the check of each value, and the keys
+# a kind cannot do without.
+TASK_KEYS = {
+    "moons": {"m_per_domain": _check_count, "rotation_degrees": _check_real, "noise": _check_real},
+    "gaussian_shift": {
+        "m": _check_count, "d": _check_count, "offset": _check_reals, "scale": _check_reals
+    },
+    "csv": {
+        "source_path": _check_path, "target_path": _check_path, "label_column": _check_label_column
+    },
+}
+REQUIRED_TASK_KEYS = {
+    "moons": (), "gaussian_shift": ("d", "offset"), "csv": ("source_path", "target_path")
+}
+
+
+def _check_task(task):
+    """Raise ValueError naming the key unless task is a mapping that names a
+    known kind and holds every key that kind needs, no key it does not read,
+    and values of the types it reads."""
+    kind = _section(task, "task").get("kind")
+    if kind not in TASK_KEYS:
+        raise ValueError(f"unknown task kind {kind!r}")
+    unknown = set(task) - set(TASK_KEYS[kind]) - {"kind"}
+    if unknown:
+        raise ValueError(f"task: unknown keys {sorted(unknown)} for kind {kind!r}")
+    missing = [key for key in REQUIRED_TASK_KEYS[kind] if key not in task]
+    if missing:
+        raise ValueError(f"task: kind {kind!r} needs the keys {missing}")
+    for key, check in TASK_KEYS[kind].items():
+        if key in task:
+            check(f"task.{key}", task[key])
+
+
 @dataclass(frozen=True)
 class UdaExperiment:
     """One experiment: a task description, a network, a training config,
@@ -46,11 +94,8 @@ class UdaExperiment:
 
     def __post_init__(self):
         _check_count("repeats", self.repeats)
-        if not isinstance(self.outputs, (str, os.PathLike)):
-            raise ValueError(f"outputs must be a path, got {self.outputs!r}")
-        kind = self.task.get("kind")
-        if kind not in ("moons", "gaussian_shift", "csv"):
-            raise ValueError(f"unknown task kind {kind!r}")
+        _check_path("outputs", self.outputs)
+        _check_task(self.task)
 
 
 @dataclass
@@ -391,33 +436,26 @@ def experiment_to_dict(exp):
     }
 
 
-def _checked_kwargs(data, schema, where):
-    """data, after checking that every key names a field of the dataclass
-    schema."""
-    unknown = set(data) - {f.name for f in fields(schema)}
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
-    return data
-
-
-def _mapping(value, name):
-    """value as a new dict; a ValueError names the field unless it is a
-    mapping."""
+def _section(value, name, schema=None):
+    """value as a new dict; a ValueError names the section unless it is a
+    mapping whose keys all name fields of the dataclass schema (if given)."""
     if not isinstance(value, Mapping):
         raise ValueError(f"{name} must be a mapping, got {value!r}")
+    unknown = set(value) - {f.name for f in fields(schema)} if schema else set()
+    if unknown:
+        raise ValueError(f"{name}: unknown keys {sorted(unknown)}")
     return dict(value)
 
 
 def experiment_from_dict(data):
     """Inverse of experiment_to_dict; unknown keys anywhere are errors."""
-    data = _checked_kwargs(_mapping(data, "experiment"), UdaExperiment, "experiment")
-    spec_data = _checked_kwargs(_mapping(data.get("spec"), "spec"), NetworkSpec, "spec")
-    cfg_data = _mapping(data.get("cfg", {}), "cfg")
-    dwmd_data = _mapping(cfg_data.pop("dwmd", {}), "cfg.dwmd")
-    dwmd_data = _checked_kwargs(dwmd_data, DwmdConfig, "cfg.dwmd")
-    cfg_data = _checked_kwargs(cfg_data, TrainConfig, "cfg")
+    data = _section(data, "experiment", UdaExperiment)
+    spec_data = _section(data.get("spec"), "spec", NetworkSpec)
+    cfg_data = _section(data.get("cfg", {}), "cfg")
+    dwmd_data = _section(cfg_data.pop("dwmd", {}), "cfg.dwmd", DwmdConfig)
+    cfg_data = _section(cfg_data, "cfg", TrainConfig)
     return UdaExperiment(
-        task=_mapping(data.get("task"), "task"),
+        task=_section(data.get("task"), "task"),
         spec=NetworkSpec(**spec_data),
         cfg=TrainConfig(dwmd=DwmdConfig(**dwmd_data), **cfg_data),
         repeats=data.get("repeats", 5),

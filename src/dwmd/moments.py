@@ -10,8 +10,8 @@ column sums run on across blocks in the order numpy would add the rows of
 the whole matrix, so the result is bit-identical to one pass per order.
 Besides its (n, d) result a moment call allocates one block of scratch (two
 for central moments, whose blocks are centred as they are read). An input
-numpy would sum pairwise (d = 1, F order, a strided view) stays one block:
-one m x d scratch array (two for central moments).
+numpy would sum pairwise (d = 1, F order, a strided view) stays one block,
+its scratch in the input's layout, so that numpy adds its rows as in one pass.
 """
 
 import numpy as np
@@ -87,22 +87,21 @@ def _power_means(x, n, what, shift=None):
     Each block of rows is centred as it is read. Each order's column sums run
     on from block to block and all orders are divided by m once at the end.
     That is what .mean(axis=0) does per order, so the result is bit-identical
-    to it.
+    to it. The scratch arrays follow the layout of x, so a one-block input is
+    reduced in the order numpy reduces x itself.
     """
     if n < 1:
         raise ValueError(f"moment order must be >= 1, got {n}")
     out = np.empty((n, x.shape[1]), dtype=np.float64)
     blocks = _row_blocks(x)
-    if len(blocks) == 1:
-        _sum_powers(x if shift is None else x - shift, out)
-    else:
-        scratch = np.empty((BLOCK_ROWS + 1, x.shape[1]))
-        centred = None if shift is None else np.empty((BLOCK_ROWS, x.shape[1]))
-        for i, rows in enumerate(blocks):
-            block = x[rows]
-            if shift is not None:
-                block = np.subtract(block, shift, out=centred[: block.shape[0]])
-            _sum_block_powers(block, out, scratch, carry=i > 0)
+    first = x[blocks[0]]
+    scratch = np.empty_like(first, shape=(first.shape[0] + 1, x.shape[1]))
+    centred = None if shift is None else np.empty_like(first)
+    for i, rows in enumerate(blocks):
+        block = x[rows]
+        if shift is not None:
+            block = np.subtract(block, shift, out=centred[: block.shape[0]])
+        _sum_block_powers(block, out, scratch, carry=i > 0)
     out /= x.shape[0]
     if not np.isfinite(out).all():
         k, j = np.argwhere(~np.isfinite(out))[0]
@@ -113,38 +112,29 @@ def _power_means(x, n, what, shift=None):
     return out
 
 
-def _sum_powers(x, out):
-    """Column sums of x^k for k = 1..len(out) into the rows of out, in one
-    pass per order over a single scratch array multiplied in place."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add.reduce(x, axis=0, out=out[0])
-        power = x
-        for k in range(1, out.shape[0]):
-            # x * x is the one new array; later orders overwrite it.
-            power = np.multiply(power, x, out=None if k == 1 else power)
-            np.add.reduce(power, axis=0, out=out[k])
-
-
 def _sum_block_powers(block, out, scratch, carry):
-    """_sum_powers for one block of b rows, built in place in scratch[1:b+1].
+    """Column sums of block^k for k = 1..len(out) into the rows of out, the
+    powers built in place in scratch[1:b+1] for a block of b rows.
 
-    With carry set, out already holds the sums of the blocks before: each
-    order's sum is copied into scratch[0] and reduced with the block's
-    powers, which adds the rows to it one by one, as a single reduction of
-    the whole matrix would.
+    Without carry, order 1 is reduced from the block itself and the block is
+    never copied. With carry, out already holds the sums of the blocks
+    before: each order's sum is copied into scratch[0] and reduced with the
+    block's powers, which adds the rows to it one by one, as a single
+    reduction of the whole matrix would.
     """
     b = block.shape[0]
     power = scratch[1 : b + 1]
-    power[...] = block
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(out.shape[0]):
+            terms = block
             if k:
-                power *= block
+                terms = np.multiply(block if k == 1 else power, block, out=power)
+            elif carry:
+                power[...] = block
             if carry:
                 scratch[0] = out[k]
-                np.add.reduce(scratch[: b + 1], axis=0, out=out[k])
-            else:
-                np.add.reduce(power, axis=0, out=out[k])
+                terms = scratch[: b + 1]
+            np.add.reduce(terms, axis=0, out=out[k])
 
 
 def raw_moments(samples, n):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discrepancy as disc
-from .discrepancy import DwmdConfig, _check_count, _check_real
+from .discrepancy import DwmdConfig, _check_count, _check_real, _is_real, _sequence
 from .moments import validate_samples
 
 __all__ = [
@@ -32,20 +32,6 @@ REGULARIZERS = ("dwmd", "smd", "cmd", "mmd", "none")
 MIN_TRIMMING_BATCH = 20
 
 
-def _int_tuple(name, values):
-    """values as a tuple of ints; a ValueError names the field unless it is
-    a sequence of integers (numpy integers included, bool not)."""
-    try:
-        items = tuple(values)
-    except TypeError:
-        items = None
-    if items is None or any(
-        isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Integral) for v in items
-    ):
-        raise ValueError(f"{name} must be a list of integers, got {values!r}")
-    return tuple(int(v) for v in items)
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture: layer_sizes runs input -> hidden widths -> classes;
@@ -58,9 +44,9 @@ class NetworkSpec:
     matched_layers: tuple
 
     def __post_init__(self):
-        sizes = _int_tuple("layer_sizes", self.layer_sizes)
-        acts = tuple(self.activations)
-        matched = _int_tuple("matched_layers", self.matched_layers)
+        sizes = _sequence("layer_sizes", self.layer_sizes, int)
+        acts = _sequence("activations", self.activations, str)
+        matched = _sequence("matched_layers", self.matched_layers, int)
         object.__setattr__(self, "layer_sizes", sizes)
         object.__setattr__(self, "activations", acts)
         object.__setattr__(self, "matched_layers", matched)
@@ -104,10 +90,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.regularizer not in REGULARIZERS:
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
-        if not (isinstance(self.lam, numbers.Real) and 0.0 <= self.lam < np.inf):
+        if not (_is_real(self.lam) and 0.0 <= self.lam < np.inf):
             raise ValueError(f"lam must be a finite number >= 0, got {self.lam!r}")
         lr = self.learning_rate
-        if not (isinstance(lr, numbers.Real) and 0.0 < lr < np.inf):
+        if not (_is_real(lr) and 0.0 < lr < np.inf):
             raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
         _check_real("momentum", self.momentum)
         if not 0.0 <= self.momentum < 1.0:
@@ -118,7 +104,7 @@ class TrainConfig:
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         bw = self.mmd_bandwidth
-        if bw != "median" and not (isinstance(bw, numbers.Real) and 0.0 < bw < np.inf):
+        if bw != "median" and not (_is_real(bw) and 0.0 < bw < np.inf):
             raise ValueError(f"mmd_bandwidth must be 'median' or a finite number > 0, got {bw!r}")
         needs_trimming = self.lam > 0.0 and self.regularizer in ("dwmd", "smd")
         if needs_trimming and self.batch_size < MIN_TRIMMING_BATCH:
@@ -129,8 +115,8 @@ class TrainConfig:
 
 
 class TrainingDiverged(RuntimeError):
-    """Training produced a non-finite loss or an overflowing moment; the
-    message names the epoch and step."""
+    """Training produced a non-finite loss, non-finite activations or an
+    overflowing moment; the message names the epoch and step."""
 
 
 @dataclass
@@ -335,6 +321,17 @@ def train_uda(source, source_labels, target, spec, cfg, target_labels=None):
             except FloatingPointError as exc:
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch + 1}, step {step + 1}: {exc}"
+                ) from exc
+            except ValueError as exc:
+                # The inputs were checked above, so non-finite activations,
+                # which the regularizer refuses, mean the parameters diverged.
+                with np.errstate(all="ignore"):
+                    hiddens = _forward(model, xb_s)[0] + _forward(model, xb_t)[0]
+                if all(np.isfinite(a).all() for a in hiddens):
+                    raise
+                raise TrainingDiverged(
+                    f"training diverged at epoch {epoch + 1}, step {step + 1}: the hidden "
+                    "activations went non-finite; lower the learning rate"
                 ) from exc
             if not np.isfinite(loss):
                 raise TrainingDiverged(
