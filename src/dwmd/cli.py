@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from . import harness
-from .discrepancy import DwmdConfig, _check_count, cmd, dwmd, mmd_rbf, smd
+from .discrepancy import DwmdConfig, cmd, dwmd, mmd_rbf, smd
+from .moments import _check_count
 from .weighting import C_POLICIES
 
 
@@ -207,9 +208,13 @@ def _cmd_gen(args):
     return 0
 
 
+# Built once per process: each build leaves argparse reference cycles that
+# only the cyclic garbage collector frees.
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "discrepancy": _cmd_discrepancy,
         "train": _cmd_train,

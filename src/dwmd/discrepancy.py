@@ -24,15 +24,15 @@ at most BLOCK_ENTRIES entries each, so the (m_s + m_t)^2 matrix never exists;
 its median bandwidth is taken over at most MEDIAN_ROWS pooled rows.
 """
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .moments import (
-    _central_moments, _pooled_mean_scale, _power_means, _row_blocks, _validate_pair
+    _central_moments, _check, _check_count, _check_real, _pooled_mean_scale, _power_means,
+    _row_blocks, _validate_pair,
 )
-from .weighting import C_POLICIES, WeightProfile, _median_in_place, weight_profile
+from .weighting import WeightProfile, _check_alpha, _check_c, _median_in_place, weight_profile
 
 __all__ = [
     "DwmdConfig",
@@ -63,47 +63,6 @@ BLOCK_ENTRIES = 2**20
 MEDIAN_ROWS = 2048
 
 
-def _check_count(name, value):
-    """Raise ValueError naming the field unless value is an integer >= 1
-    (numpy integers included, bool not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-def _is_real(value):
-    """Whether value is a real number (numpy numbers included, bool not)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_real(name, value):
-    """Raise ValueError naming the field unless value is a real number
-    (numpy numbers included, bool not)."""
-    if not _is_real(value):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
-def _sequence(name, values, kind):
-    """values as a tuple of kind (int, float or str); a ValueError names the
-    field unless it is a sequence, not a string, of integers, real numbers
-    or strings (numpy numbers included, bool not)."""
-    abstract, what = {
-        int: (numbers.Integral, "integers"),
-        float: (numbers.Real, "real numbers"),
-        str: (str, "strings"),
-    }[kind]
-    try:
-        items = None if isinstance(values, str) else tuple(values)
-    except TypeError:
-        items = None
-    if items is None or any(
-        isinstance(v, (bool, np.bool_)) or not isinstance(v, abstract) for v in items
-    ):
-        raise ValueError(f"{name} must be a list of {what}, got {values!r}")
-    return tuple(kind(v) for v in items)
-
-
 @dataclass(frozen=True)
 class DwmdConfig:
     """Hyperparameters of the discrepancy series.
@@ -125,22 +84,17 @@ class DwmdConfig:
 
     def __post_init__(self):
         _check_count("n", self.n)
-        for name in ("psi", "beta", "alpha"):
-            _check_real(name, getattr(self, name))
-        if self.c_value is not None:
-            _check_real("c_value", self.c_value)
-        if not isinstance(self.standardize, (bool, np.bool_)):
-            raise ValueError(f"standardize must be a bool, got {self.standardize!r}")
-        if not self.psi > 0.0:
-            raise ValueError(f"psi must be > 0, got {self.psi}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        if not 0.0 <= self.alpha < 0.5:
-            raise ValueError(f"alpha must be in [0, 0.5), got {self.alpha}")
-        if self.c_policy not in C_POLICIES:
-            raise ValueError(f"unknown c_policy {self.c_policy!r}")
-        if self.c_policy == "scalar" and (self.c_value is None or not self.c_value > 0.0):
-            raise ValueError(f"scalar C policy needs c_value > 0, got {self.c_value}")
+        _check_psi(self.psi)
+        _check_real("beta", self.beta, lambda beta: 0.0 < beta <= 1.0, "in (0, 1]")
+        _check_alpha(self.alpha)
+        _check_c(self.c_policy, self.c_value)
+        ok = isinstance(self.standardize, (bool, np.bool_))
+        _check("standardize", self.standardize, ok, "a bool")
+
+
+def _check_psi(psi):
+    """The decay rate's rule: a real number > 0."""
+    _check_real("psi", psi, lambda v: v > 0.0, "> 0")
 
 
 @dataclass
@@ -175,7 +129,7 @@ def _report(delta, profile, config):
         per_order_terms=terms,
         per_order_totals=per_order_totals,
         total=float(per_order_totals.sum()),
-        truncation_bound=truncation_bound(profile, config.psi, config.n),
+        truncation_bound=_tail_bound(profile, config.psi, config.n),
         weight_profile=profile,
     )
     return report, gap, powered, weights
@@ -189,8 +143,13 @@ def truncation_bound(profile, psi, n):
     diverges and None is returned. A degenerate all-zero weight vector uses
     tau_max = 1 (the uniform profile it falls back to).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_psi(psi)
+    _check_count("n", n)
+    return _tail_bound(profile, psi, n)
+
+
+def _tail_bound(profile, psi, n):
+    """truncation_bound for a checked psi and n."""
     tau_max = profile.tau_max if profile.tau_max > 0.0 else 1.0
     nu = np.floor(psi / tau_max)
     if nu < 1.0:
@@ -280,12 +239,9 @@ def dwmd_from_moments(moments_source, moments_target, profile, config):
     weights. This is the fixed-weight form the metric axioms hold for."""
     a = np.asarray(moments_source, dtype=np.float64)
     b = np.asarray(moments_target, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"moment-sequence shape mismatch: {a.shape} vs {b.shape}")
-    if a.shape != (config.n, profile.d):
-        raise ValueError(
-            f"moment sequences of shape {a.shape} do not match n={config.n}, d={profile.d}"
-        )
+    shape = (config.n, profile.d)
+    for name, m in (("moments_source", a), ("moments_target", b)):
+        _check(name, m.shape, m.shape == shape, f"of shape (n, d) = {shape}", str)
     return _report(a - b, profile, config)[0]
 
 
@@ -340,8 +296,8 @@ def cmd_with_gradient(source, target, k=5, widths=None):
     s, t = _validate_pair(source, target)
     if widths is None:
         widths = _cmd_widths(s, t)
-    cs, mu_s = _central_moments(s, k)
-    ct, mu_t = _central_moments(t, k)
+    cs, mu_s = _central_moments(s, k, "k")
+    ct, mu_t = _central_moments(t, k, "k")
     orders = np.arange(1, k + 1)[:, None]
     w_pow = widths**orders
     v = (cs - ct) / w_pow
@@ -415,18 +371,16 @@ def _median_bandwidth(x):
 
 
 def _fixed_bandwidth(bandwidth):
-    """None for "median", else the bandwidth as a float; anything float()
-    does not turn into a finite number > 0 raises a ValueError naming it."""
+    """None for "median", else the bandwidth as a float; a bool, or what
+    float() does not make a finite number > 0, raises a ValueError naming it."""
     if isinstance(bandwidth, str) and bandwidth == "median":
         return None
     try:
         sigma = float(bandwidth)
     except (TypeError, ValueError):
         sigma = np.nan
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(
-            f"bandwidth must be 'median' or a finite number > 0, got {bandwidth!r}"
-        )
+    ok = not isinstance(bandwidth, (bool, np.bool_)) and 0.0 < sigma < np.inf
+    _check("bandwidth", bandwidth, ok, "'median' or a finite number > 0")
     return sigma
 
 

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .discrepancy import DwmdConfig, _check_count, _check_real, _sequence
+from .discrepancy import DwmdConfig
+from .moments import _check, _check_count, _check_real, _finite_vector, _sequence
 from .nettrain import NetworkSpec, TrainConfig, TrainingDiverged, train_uda
 
 __all__ = [
@@ -34,32 +35,29 @@ __all__ = [
 
 
 def _check_path(name, value):
-    if not isinstance(value, (str, os.PathLike)):
-        raise ValueError(f"{name} must be a path, got {value!r}")
+    _check(name, value, isinstance(value, (str, os.PathLike)), "a path")
 
 
 def _check_label_column(name, value):
-    if value is not None and not isinstance(value, str):
-        raise ValueError(f"{name} must be a column name or null, got {value!r}")
+    _check(name, value, value is None or isinstance(value, str), "a column name or null")
 
 
-def _check_reals(name, value):
-    _sequence(name, value, float)
-
-
-# The keys each task kind reads, with the check of each value, and the keys
-# a kind cannot do without.
+NEEDED = object()  # the default of a task key a kind cannot do without
+# Per task kind, each key it reads, with its check and its default (a scale
+# of None is all ones), under the name its generator or loader takes.
 TASK_KEYS = {
-    "moons": {"m_per_domain": _check_count, "rotation_degrees": _check_real, "noise": _check_real},
+    "moons": {
+        "m_per_domain": (_check_count, 400), "rotation_degrees": (_check_real, 40.0),
+        "noise": (_check_real, 0.1),
+    },
     "gaussian_shift": {
-        "m": _check_count, "d": _check_count, "offset": _check_reals, "scale": _check_reals
+        "m": (_check_count, 1000), "d": (_check_count, NEEDED),
+        "offset": (_sequence, NEEDED), "scale": (_sequence, None),
     },
     "csv": {
-        "source_path": _check_path, "target_path": _check_path, "label_column": _check_label_column
+        "source_path": (_check_path, NEEDED), "target_path": (_check_path, NEEDED),
+        "label_column": (_check_label_column, "label"),
     },
-}
-REQUIRED_TASK_KEYS = {
-    "moons": (), "gaussian_shift": ("d", "offset"), "csv": ("source_path", "target_path")
 }
 
 
@@ -68,15 +66,16 @@ def _check_task(task):
     known kind and holds every key that kind needs, no key it does not read,
     and values of the types it reads."""
     kind = _section(task, "task").get("kind")
-    if kind not in TASK_KEYS:
+    if not isinstance(kind, str) or kind not in TASK_KEYS:
         raise ValueError(f"unknown task kind {kind!r}")
-    unknown = set(task) - set(TASK_KEYS[kind]) - {"kind"}
+    keys = TASK_KEYS[kind]
+    unknown = set(task) - set(keys) - {"kind"}
     if unknown:
         raise ValueError(f"task: unknown keys {sorted(unknown)} for kind {kind!r}")
-    missing = [key for key in REQUIRED_TASK_KEYS[kind] if key not in task]
+    missing = [key for key, (_, default) in keys.items() if default is NEEDED and key not in task]
     if missing:
         raise ValueError(f"task: kind {kind!r} needs the keys {missing}")
-    for key, check in TASK_KEYS[kind].items():
+    for key, (check, _) in keys.items():
         if key in task:
             check(f"task.{key}", task[key])
 
@@ -93,6 +92,8 @@ class UdaExperiment:
     outputs: str = "reports"
 
     def __post_init__(self):
+        _check("spec", self.spec, isinstance(self.spec, NetworkSpec), "a NetworkSpec")
+        _check("cfg", self.cfg, isinstance(self.cfg, TrainConfig), "a TrainConfig")
         _check_count("repeats", self.repeats)
         _check_path("outputs", self.outputs)
         _check_task(self.task)
@@ -120,14 +121,11 @@ def gen_moons(m_per_domain, rotation_degrees, noise, seed):
     (source, source_labels, target, target_labels); target labels are for
     evaluation only.
     """
-    if m_per_domain < 40:
-        raise ValueError(f"need m_per_domain >= 40, got {m_per_domain}")
-    if m_per_domain % 2 != 0:
-        raise ValueError(f"m_per_domain must be even, got {m_per_domain}")
-    if not 0.0 <= rotation_degrees <= 90.0:
-        raise ValueError(f"rotation must be in [0, 90] degrees, got {rotation_degrees}")
-    if noise < 0.0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    _check_count("m_per_domain", m_per_domain)
+    ok = m_per_domain >= 40 and m_per_domain % 2 == 0
+    _check("m_per_domain", m_per_domain, ok, "even and >= 40", str)
+    _check_real("rotation_degrees", rotation_degrees, lambda r: 0.0 <= r <= 90.0, "in [0, 90]")
+    _check_real("noise", noise, lambda sd: 0.0 <= sd < np.inf, "finite and >= 0")
     half = m_per_domain // 2
     angles = np.linspace(0.0, np.pi, half)
     outer = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -153,17 +151,15 @@ def gen_gaussian_shift(m, d, offset, scale, seed):
 
     Classes are separated along the last dimension symmetrically about 0, so
     each dimension's overall mean is ~0 in the source and ~offset[j] in the
-    target, making the robust-mean gap track |offset|. Returns
-    (source, source_labels, target, target_labels).
+    target, making the robust-mean gap track |offset|. A scale of None is
+    all ones. Returns (source, source_labels, target, target_labels).
     """
-    offset = np.asarray(offset, dtype=np.float64)
-    scale = np.asarray(scale, dtype=np.float64)
-    if m < 2 or d < 1:
-        raise ValueError(f"need m >= 2 and d >= 1, got m={m}, d={d}")
-    if offset.shape != (d,) or scale.shape != (d,):
-        raise ValueError(f"offset and scale must be {d}-vectors")
-    if np.any(scale <= 0.0):
-        raise ValueError("scale entries must be > 0")
+    _check_count("m", m)
+    _check("m", m, m >= 2, ">= 2", str)
+    _check_count("d", d)
+    offset = _finite_vector("offset", offset, d)
+    scale = np.ones(d) if scale is None else _finite_vector("scale", scale, d)
+    _check("scale", scale, bool((scale > 0.0).all()), "> 0", str)
     half = m // 2
     centers = np.zeros(d)
     sep = np.zeros(d)
@@ -204,6 +200,8 @@ def load_csv(path, label_column=None):
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise _CsvRowError(f"{path}: row 1: {exc}") from None
         label_idx = None
         if label_column is not None:
             if label_column not in header:
@@ -264,34 +262,44 @@ def _loadtxt_body(fh, n_cols, label_idx):
     return np.delete(data, label_idx, axis=1), labels.astype(np.int64)
 
 
+class _CsvRowError(ValueError, csv.Error):
+    """A row the csv module cannot read (a field over csv.field_size_limit(),
+    for one), named by file and row. A ValueError like every other bad
+    file, and still a csv.Error for callers that catch that."""
+
+
 def _csv_body(path, reader, header, label_idx):
     """(matrix, labels) for the rows left in reader, cell by cell: the
     reading that names a malformed cell."""
     rows, labels = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
-            )
-        feats = []
-        for col, cell in enumerate(row):
-            if col == label_idx:
-                try:
-                    labels.append(int(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {lineno}, column {col + 1}: "
-                        f"label {cell!r} is not an integer"
-                    ) from None
-            else:
-                try:
-                    feats.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {lineno}, column {col + 1}: "
-                        f"{cell!r} is not numeric"
-                    ) from None
-        rows.append(feats)
+    lineno = 1
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}"
+                )
+            feats = []
+            for col, cell in enumerate(row):
+                if col == label_idx:
+                    try:
+                        labels.append(int(cell))
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: row {lineno}, column {col + 1}: "
+                            f"label {cell!r} is not an integer"
+                        ) from None
+                else:
+                    try:
+                        feats.append(float(cell))
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: row {lineno}, column {col + 1}: "
+                            f"{cell!r} is not numeric"
+                        ) from None
+            rows.append(feats)
+    except csv.Error as exc:
+        raise _CsvRowError(f"{path}: row {lineno + 1}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     matrix = np.asarray(rows, dtype=np.float64)
@@ -328,23 +336,17 @@ def save_csv(path, matrix, labels=None):
 
 
 def _materialize_task(task, seed):
+    """The four arrays of a checked task, absent keys taken from TASK_KEYS."""
     kind = task["kind"]
+    args = {key: task.get(key, default) for key, (_, default) in TASK_KEYS[kind].items()}
     if kind == "moons":
-        return gen_moons(
-            task.get("m_per_domain", 400),
-            task.get("rotation_degrees", 40.0),
-            task.get("noise", 0.1),
-            seed,
-        )
+        return gen_moons(**args, seed=seed)
     if kind == "gaussian_shift":
-        d = task["d"]
-        return gen_gaussian_shift(
-            task.get("m", 1000), d, task["offset"], task.get("scale", [1.0] * d), seed
-        )
-    source, s_labels = load_csv(task["source_path"], task.get("label_column", "label"))
-    target, t_labels = load_csv(task["target_path"], task.get("label_column", "label"))
+        return gen_gaussian_shift(**args, seed=seed)
+    source, s_labels = load_csv(args["source_path"], args["label_column"])
+    target, t_labels = load_csv(args["target_path"], args["label_column"])
     if s_labels is None:
-        raise ValueError(f"{task['source_path']}: source file needs a label column")
+        raise ValueError(f"{args['source_path']}: source file needs a label column")
     return source, s_labels, target, t_labels
 
 
@@ -454,10 +456,7 @@ def experiment_from_dict(data):
     cfg_data = _section(data.get("cfg", {}), "cfg")
     dwmd_data = _section(cfg_data.pop("dwmd", {}), "cfg.dwmd", DwmdConfig)
     cfg_data = _section(cfg_data, "cfg", TrainConfig)
-    return UdaExperiment(
-        task=_section(data.get("task"), "task"),
-        spec=NetworkSpec(**spec_data),
-        cfg=TrainConfig(dwmd=DwmdConfig(**dwmd_data), **cfg_data),
-        repeats=data.get("repeats", 5),
-        outputs=data.get("outputs", "reports"),
-    )
+    data["task"] = _section(data.get("task"), "task")
+    data["spec"] = NetworkSpec(**spec_data)
+    data["cfg"] = TrainConfig(dwmd=DwmdConfig(**dwmd_data), **cfg_data)
+    return UdaExperiment(**data)

@@ -12,6 +12,7 @@ Besides its (n, d) result a moment call allocates one block of scratch (two
 for central moments, whose blocks are centred as they are read). An input
 numpy would sum pairwise (d = 1, F order, a strided view) stays one block,
 its scratch in the input's layout, so that numpy adds its rows as in one pass.
+The package's argument checks are written here too, all on _check.
 """
 
 import numpy as np
@@ -33,6 +34,65 @@ BLOCK_ROWS = 1024
 
 class MomentOverflowError(FloatingPointError):
     """A moment computation produced a non-finite value (overflow at high order)."""
+
+
+def _check(name, value, ok, what, show=repr):
+    """Raise ValueError("<name> must be <what>, got <value>") unless ok. A
+    type rule shows the value by repr, a range rule (show=str) by str."""
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {show(value)}")
+
+
+# The number types the checks take (not the numbers ABCs, on which
+# isinstance costs about 1 us, a cost paid per training step).
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
+
+
+def _is_real(value, kind=_REALS):
+    """Whether value is an instance of kind, real numbers unless given
+    (numpy numbers included, bool not)."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_count(name, value):
+    """Raise ValueError naming the field unless value is an integer >= 1
+    (numpy integers included, bool not)."""
+    _check(name, value, _is_real(value, _INTEGERS), "an integer")
+    _check(name, value, value >= 1, ">= 1", str)
+
+
+def _check_real(name, value, ok=None, what=None):
+    """Raise ValueError naming the field unless value is a real number
+    (numpy numbers included, bool not) and ok(value), stated as what, holds."""
+    _check(name, value, _is_real(value), "a real number")
+    if ok is not None:
+        _check(name, value, ok(value), what, str)
+
+
+def _sequence(name, values, kind=float):
+    """values as a tuple of kind (int, float or str); a ValueError names the
+    field unless it is a sequence, not a string, of integers, real numbers
+    or strings (numpy numbers included, bool not)."""
+    types, what = {
+        int: (_INTEGERS, "integers"), float: (_REALS, "real numbers"), str: (str, "strings")
+    }[kind]
+    try:
+        items = None if isinstance(values, str) else tuple(values)
+    except TypeError:
+        items = None
+    ok = items is not None and all(_is_real(v, types) for v in items)
+    _check(name, values, ok, f"a list of {what}")
+    return tuple(kind(v) for v in items)
+
+
+def _finite_vector(name, values, d):
+    """values as a float64 d-vector; a ValueError names the field unless it
+    is a list of d finite real numbers."""
+    v = np.array(_sequence(name, values))
+    ok = v.shape == (d,) and bool(np.isfinite(v).all())
+    _check(name, values, ok, f"a list of {d} finite numbers")
+    return v
 
 
 def validate_samples(samples, name="samples"):
@@ -79,10 +139,10 @@ def _row_blocks(x):
     return [slice(start, start + BLOCK_ROWS) for start in range(0, m, BLOCK_ROWS)]
 
 
-def _power_means(x, n, what, shift=None):
+def _power_means(x, n, what, shift=None, name="n"):
     """Column means of (x - shift)^k for k = 1..n as an (n, d) array (of x^k
-    when shift is None); a non-finite mean raises MomentOverflowError naming
-    the lowest such order.
+    when shift is None; n is called name if refused). A non-finite mean
+    raises MomentOverflowError naming the lowest such order.
 
     Each block of rows is centred as it is read. Each order's column sums run
     on from block to block and all orders are divided by m once at the end.
@@ -90,8 +150,7 @@ def _power_means(x, n, what, shift=None):
     to it. The scratch arrays follow the layout of x, so a one-block input is
     reduced in the order numpy reduces x itself.
     """
-    if n < 1:
-        raise ValueError(f"moment order must be >= 1, got {n}")
+    _check_count(name, n)
     out = np.empty((n, x.shape[1]), dtype=np.float64)
     blocks = _row_blocks(x)
     first = x[blocks[0]]
@@ -153,11 +212,11 @@ def central_moments(samples, n):
     return _central_moments(validate_samples(samples), n)[0]
 
 
-def _central_moments(x, n):
-    """central_moments of an already validated float64 matrix, and the
-    column mean it centres on (CMD's gradient centres with it again)."""
+def _central_moments(x, n, name="n"):
+    """central_moments of a validated float64 matrix (n called name if
+    refused), and the column mean it centres on, which CMD's gradient reuses."""
     mu = x.mean(axis=0)
-    out = _power_means(x, n, "central", shift=mu)
+    out = _power_means(x, n, "central", mu, name)
     out[0] = mu
     return out, mu
 

@@ -7,14 +7,15 @@ layers, for a source batch and a target batch drawn each step. All math is
 plain numpy; runs are deterministic given the seed.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import discrepancy as disc
-from .discrepancy import DwmdConfig, _check_count, _check_real, _is_real, _sequence
-from .moments import validate_samples
+from .discrepancy import DwmdConfig
+from .moments import (
+    _INTEGERS, _check, _check_count, _check_real, _is_real, _sequence, validate_samples
+)
 
 __all__ = [
     "NetworkSpec",
@@ -50,20 +51,13 @@ class NetworkSpec:
         object.__setattr__(self, "layer_sizes", sizes)
         object.__setattr__(self, "activations", acts)
         object.__setattr__(self, "matched_layers", matched)
-        if len(sizes) < 3:
-            raise ValueError("need at least one hidden layer (input, hidden..., output)")
-        if any(v < 1 for v in sizes):
-            raise ValueError(f"layer sizes must be positive, got {sizes}")
+        ok = len(sizes) >= 3 and all(v >= 1 for v in sizes)
+        _check("layer_sizes", sizes, ok, "at least 3 integers >= 1", str)
         n_hidden = len(sizes) - 2
-        if len(acts) != n_hidden:
-            raise ValueError(f"expected {n_hidden} activation names, got {len(acts)}")
-        for a in acts:
-            if a not in ("sigmoid", "relu"):
-                raise ValueError(f"unknown activation {a!r}")
-        if not matched:
-            raise ValueError("matched_layers must be non-empty")
-        if any(not 0 <= v < n_hidden for v in matched):
-            raise ValueError(f"matched_layers {matched} out of range for {n_hidden} hidden layers")
+        ok = len(acts) == n_hidden and all(a in ("sigmoid", "relu") for a in acts)
+        _check("activations", acts, ok, "one 'sigmoid' or 'relu' per hidden layer", str)
+        ok = bool(matched) and all(0 <= v < n_hidden for v in matched)
+        _check("matched_layers", matched, ok, f"non-empty and in [0, {n_hidden})", str)
 
     @property
     def n_hidden(self):
@@ -90,28 +84,19 @@ class TrainConfig:
     def __post_init__(self):
         if self.regularizer not in REGULARIZERS:
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
-        if not (_is_real(self.lam) and 0.0 <= self.lam < np.inf):
-            raise ValueError(f"lam must be a finite number >= 0, got {self.lam!r}")
-        lr = self.learning_rate
-        if not (_is_real(lr) and 0.0 < lr < np.inf):
-            raise ValueError(f"learning_rate must be a finite number > 0, got {lr!r}")
-        _check_real("momentum", self.momentum)
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        lam, lr, seed, bw = self.lam, self.learning_rate, self.seed, self.mmd_bandwidth
+        _check("lam", lam, _is_real(lam) and 0.0 <= lam < np.inf, "a finite number >= 0")
+        _check("learning_rate", lr, _is_real(lr) and 0.0 < lr < np.inf, "a finite number > 0")
+        _check_real("momentum", self.momentum, lambda mu: 0.0 <= mu < 1.0, "in [0, 1)")
         for name in ("epochs", "batch_size", "cmd_order"):
             _check_count(name, getattr(self, name))
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-        bw = self.mmd_bandwidth
-        if bw != "median" and not (_is_real(bw) and 0.0 < bw < np.inf):
-            raise ValueError(f"mmd_bandwidth must be 'median' or a finite number > 0, got {bw!r}")
-        needs_trimming = self.lam > 0.0 and self.regularizer in ("dwmd", "smd")
-        if needs_trimming and self.batch_size < MIN_TRIMMING_BATCH:
-            raise ValueError(
-                f"batch_size {self.batch_size} too small for trimmed-mean weighting "
-                f"(need >= {MIN_TRIMMING_BATCH} per domain)"
-            )
+        _check("seed", seed, _is_real(seed, _INTEGERS) and seed >= 0, "an integer >= 0")
+        ok = bw == "median" or (_is_real(bw) and 0.0 < bw < np.inf)
+        _check("mmd_bandwidth", bw, ok, "'median' or a finite number > 0")
+        trims = self.lam > 0.0 and self.regularizer in ("dwmd", "smd")
+        ok = not trims or self.batch_size >= MIN_TRIMMING_BATCH
+        what = f">= {MIN_TRIMMING_BATCH} per domain for trimmed-mean weighting"
+        _check("batch_size", self.batch_size, ok, what, str)
 
 
 class TrainingDiverged(RuntimeError):
@@ -314,34 +299,36 @@ def train_uda(source, source_labels, target, spec, cfg, target_labels=None):
             xb_s = x_s[src_batches[step]]
             yb_s = y_s[src_batches[step]]
             xb_t = x_t[tgt_batches[step]]
-            try:
-                loss, ce, reg_values, grad_w, grad_b = objective_gradient(
-                    model, xb_s, yb_s, xb_t, cfg
-                )
-            except FloatingPointError as exc:
-                raise TrainingDiverged(
-                    f"training diverged at epoch {epoch + 1}, step {step + 1}: {exc}"
-                ) from exc
-            except ValueError as exc:
-                # The inputs were checked above, so non-finite activations,
-                # which the regularizer refuses, mean the parameters diverged.
-                with np.errstate(all="ignore"):
+            # A diverging step overflows before any check sees it; the checks
+            # below report it, so numpy does not warn during the step.
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    loss, ce, reg_values, grad_w, grad_b = objective_gradient(
+                        model, xb_s, yb_s, xb_t, cfg
+                    )
+                except FloatingPointError as exc:
+                    raise TrainingDiverged(
+                        f"training diverged at epoch {epoch + 1}, step {step + 1}: {exc}"
+                    ) from exc
+                except ValueError as exc:
+                    # The inputs were checked above, so non-finite activations,
+                    # which the regularizer refuses, mean the parameters diverged.
                     hiddens = _forward(model, xb_s)[0] + _forward(model, xb_t)[0]
-                if all(np.isfinite(a).all() for a in hiddens):
-                    raise
-                raise TrainingDiverged(
-                    f"training diverged at epoch {epoch + 1}, step {step + 1}: the hidden "
-                    "activations went non-finite; lower the learning rate"
-                ) from exc
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch + 1}, step {step + 1}; "
-                    "lower the learning rate"
-                )
-            for p, v, g in zip(model.weights + model.biases, velocity, grad_w + grad_b):
-                v *= cfg.momentum
-                v -= cfg.learning_rate * g
-                p += v
+                    if all(np.isfinite(a).all() for a in hiddens):
+                        raise
+                    raise TrainingDiverged(
+                        f"training diverged at epoch {epoch + 1}, step {step + 1}: the hidden "
+                        "activations went non-finite; lower the learning rate"
+                    ) from exc
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch + 1}, step {step + 1}; "
+                        "lower the learning rate"
+                    )
+                for p, v, g in zip(model.weights + model.biases, velocity, grad_w + grad_b):
+                    v *= cfg.momentum
+                    v -= cfg.learning_rate * g
+                    p += v
             epoch_ce += ce
             for layer, value in reg_values.items():
                 epoch_reg[layer] += value

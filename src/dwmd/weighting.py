@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import BLOCK_ROWS, _validate_pair, validate_samples
+from .moments import BLOCK_ROWS, _check, _check_real, _is_real, _validate_pair, validate_samples
 
 __all__ = ["WeightProfile", "robust_dim_means", "weight_profile", "TAU_FLOOR", "C_FLOOR", "C_POLICIES"]
 
@@ -92,10 +92,14 @@ def robust_dim_means(samples, alpha):
     return _trimmed_means(validate_samples(samples), alpha)
 
 
+def _check_alpha(alpha):
+    """The trimming fraction's rule: a real number in [0, 0.5)."""
+    _check_real("alpha", alpha, lambda a: 0.0 <= a < 0.5, "in [0, 0.5)")
+
+
 def _trimmed_means(x, alpha):
     """robust_dim_means of an already validated float64 matrix."""
-    if not 0.0 <= alpha < 0.5:
-        raise ValueError(f"alpha must be in [0, 0.5), got {alpha}")
+    _check_alpha(alpha)
     m, d = x.shape
     n_drop = int(np.ceil(alpha * m))
     n_keep = m - n_drop
@@ -142,6 +146,18 @@ def _kept_sums(cols, dist, n_keep):
     return cols.sum(axis=1, where=keep)
 
 
+def _check_c(c_policy, c_value):
+    """The C arguments' rule: a known c_policy and a real c_value, which under
+    the scalar policy must be finite (an infinite C makes the gradient NaN)
+    and > 0, and under the others may be None."""
+    _check("c_value", c_value, c_value is None or _is_real(c_value), "a real number")
+    if c_policy not in C_POLICIES:
+        raise ValueError(f"unknown c_policy {c_policy!r}")
+    if c_policy == "scalar":
+        ok = c_value is not None and 0.0 < c_value < np.inf
+        _check("c_value", c_value, ok, "a finite number > 0 under the scalar C policy", str)
+
+
 def resolve_c(tau, c_policy, c_value=None):
     """Resolve the series constant C from the weight vector per policy.
 
@@ -149,15 +165,12 @@ def resolve_c(tau, c_policy, c_value=None):
     tau_first:  the first component of tau, floored at C_FLOOR.
     tau_vector: tau elementwise, floored at C_FLOOR.
     """
+    _check_c(c_policy, c_value)
     if c_policy == "scalar":
-        if c_value is None or not c_value > 0.0:
-            raise ValueError(f"scalar C policy needs a positive constant, got {c_value}")
         return float(c_value)
     if c_policy == "tau_first":
         return max(float(tau[0]), C_FLOOR)
-    if c_policy == "tau_vector":
-        return np.maximum(tau, C_FLOOR)
-    raise ValueError(f"unknown c_policy {c_policy!r}")
+    return np.maximum(tau, C_FLOOR)
 
 
 def weight_profile(source, target, alpha=0.1, c_policy="scalar", c_value=0.05):
