@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -34,6 +35,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_disc = sub.add_parser("discrepancy", help="metric between two CSV files")
+    p_disc.set_defaults(run=_cmd_discrepancy)
     p_disc.add_argument("--source", required=True)
     p_disc.add_argument("--target", required=True)
     p_disc.add_argument("--metric", choices=["dwmd", "smd", "cmd", "mmd"], default="dwmd")
@@ -41,20 +43,25 @@ def _build_parser():
     p_disc.add_argument(
         "--n", type=int, default=5, help="moment truncation order (CMD's order for --metric cmd)"
     )
-    p_disc.add_argument("--psi", type=float, default=1.0)
-    p_disc.add_argument("--beta", type=float, default=1.0)
-    p_disc.add_argument("--c", type=float, default=0.05)
-    p_disc.add_argument("--c-policy", choices=C_POLICIES, default="scalar")
-    p_disc.add_argument("--alpha", type=float, default=0.1)
-    p_disc.add_argument("--standardize", action="store_true")
+    # The series flags are named by their DwmdConfig field; one not given
+    # is absent from args, so DwmdConfig's own default applies.
+    unset = argparse.SUPPRESS
+    p_disc.add_argument("--psi", type=float, default=unset)
+    p_disc.add_argument("--beta", type=float, default=unset)
+    p_disc.add_argument("--c", dest="c_value", metavar="C", type=float, default=unset)
+    p_disc.add_argument("--c-policy", choices=C_POLICIES, default=unset)
+    p_disc.add_argument("--alpha", type=float, default=unset)
+    p_disc.add_argument("--standardize", action="store_true", default=unset)
     p_disc.add_argument("--bandwidth", default="median", help="mmd bandwidth or 'median'")
     p_disc.add_argument("--json", action="store_true", help="full-precision JSON dump")
 
     p_train = sub.add_parser("train", help="run an experiment from a config file")
+    p_train.set_defaults(run=_cmd_train)
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--out", default=None, help="override the report directory")
 
     p_sweep = sub.add_parser("sweep", help="sweep one hyperparameter over values")
+    p_sweep.set_defaults(run=_cmd_sweep)
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--param", choices=["c", "beta", "n", "lam"], required=True)
     p_sweep.add_argument(
@@ -63,6 +70,7 @@ def _build_parser():
     p_sweep.add_argument("--out", default=None)
 
     p_gen = sub.add_parser("gen", help="emit a synthetic dataset as CSV")
+    p_gen.set_defaults(run=_cmd_gen)
     p_gen.add_argument("--task", choices=["moons", "gaussian_shift"], default="moons")
     p_gen.add_argument("--m", type=int, default=400, help="samples per domain")
     p_gen.add_argument("--rotation", type=float, default=40.0)
@@ -78,52 +86,31 @@ def _build_parser():
 def _cmd_discrepancy(args):
     source, _ = harness.load_csv(args.source, args.label_column)
     target, _ = harness.load_csv(args.target, args.label_column)
+    record = {"metric": args.metric}
     if args.metric in ("dwmd", "smd"):
         # Only the series reads these flags, so only the series checks them.
-        config = DwmdConfig(
-            n=args.n,
-            psi=args.psi,
-            beta=args.beta,
-            c_policy=args.c_policy,
-            c_value=args.c,
-            alpha=args.alpha,
-            standardize=args.standardize,
+        given = {f.name: getattr(args, f.name) for f in fields(DwmdConfig) if f.name in args}
+        report = (dwmd if args.metric == "dwmd" else smd)(source, target, DwmdConfig(**given))
+        record.update(
+            total=report.total,
+            per_order_totals=report.per_order_totals.tolist(),
+            truncation_bound=report.truncation_bound,
+            tau=report.weight_profile.tau.tolist(),
+            tau_normalized=report.weight_profile.tau_normalized.tolist(),
         )
-        report = (dwmd if args.metric == "dwmd" else smd)(source, target, config)
-        bound = report.truncation_bound
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "metric": args.metric,
-                        "total": report.total,
-                        "per_order_totals": report.per_order_totals.tolist(),
-                        "truncation_bound": bound,
-                        "tau": report.weight_profile.tau.tolist(),
-                        "tau_normalized": report.weight_profile.tau_normalized.tolist(),
-                    }
-                )
-            )
-        else:
-            print(f"metric {args.metric}")
-            print(f"total {report.total:.6g}")
-            per_order = " ".join(f"{v:.6g}" for v in report.per_order_totals)
-            print(f"per_order_totals {per_order}")
-            print(
-                "truncation_bound "
-                + ("bound-divergent" if bound is None else f"{bound:.6g}")
-            )
+    elif args.metric == "cmd":
+        _check_count("n", args.n)
+        record["total"] = cmd(source, target, args.n)
     else:
-        if args.metric == "cmd":
-            _check_count("n", args.n)
-            value = cmd(source, target, args.n)
-        else:
-            value = mmd_rbf(source, target, args.bandwidth)
-        if args.json:
-            print(json.dumps({"metric": args.metric, "total": value}))
-        else:
-            print(f"metric {args.metric}")
-            print(f"total {value:.6g}")
+        record["total"] = mmd_rbf(source, target, args.bandwidth)
+    if args.json:
+        print(json.dumps(record))
+    else:
+        print(f"metric {record['metric']}\ntotal {record['total']:.6g}")
+        if "per_order_totals" in record:
+            print("per_order_totals", " ".join(f"{v:.6g}" for v in record["per_order_totals"]))
+            bound = record["truncation_bound"]
+            print("truncation_bound", "bound-divergent" if bound is None else f"{bound:.6g}")
     return 0
 
 
@@ -181,12 +168,15 @@ def _cmd_sweep(args):
     return 0
 
 
-def _parse_vector(text, d, default):
+def _parse_vector(flag, text, d, default):
     if text is None:
         return np.full(d, default)
-    parts = [float(v) for v in text.split(",")]
+    try:
+        parts = [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
     if len(parts) != d:
-        raise ValueError(f"expected {d} comma-separated values, got {len(parts)}")
+        raise ValueError(f"{flag}: expected {d} comma-separated values, got {len(parts)}")
     return np.asarray(parts)
 
 
@@ -197,8 +187,8 @@ def _cmd_gen(args):
             args.m, args.rotation, args.noise, args.seed
         )
     else:
-        offset = _parse_vector(args.offset, args.d, 0.0)
-        scale = _parse_vector(args.scale, args.d, 1.0)
+        offset = _parse_vector("--offset", args.offset, args.d, 0.0)
+        scale = _parse_vector("--scale", args.scale, args.d, 1.0)
         source, y_s, target, y_t = harness.gen_gaussian_shift(
             args.m, args.d, offset, scale, args.seed
         )
@@ -215,15 +205,9 @@ _PARSER = _build_parser()
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
-    handlers = {
-        "discrepancy": _cmd_discrepancy,
-        "train": _cmd_train,
-        "sweep": _cmd_sweep,
-        "gen": _cmd_gen,
-    }
     try:
-        return handlers[args.command](args)
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+        return args.run(args)
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"dwmd: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -93,8 +93,9 @@ class DwmdConfig:
 
 
 def _check_psi(psi):
-    """The decay rate's rule: a real number > 0."""
-    _check_real("psi", psi, lambda v: v > 0.0, "> 0")
+    """The decay rate's rule: a finite real number > 0 (an infinite psi
+    would zero every order weight)."""
+    _check_real("psi", psi, lambda v: 0.0 < v < np.inf, "a finite number > 0")
 
 
 @dataclass

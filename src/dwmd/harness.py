@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .discrepancy import DwmdConfig
-from .moments import _check, _check_count, _check_real, _finite_vector, _sequence
+from .moments import _check, _check_count, _check_real, _check_seed, _finite_vector, _sequence
 from .nettrain import NetworkSpec, TrainConfig, TrainingDiverged, train_uda
 
 __all__ = [
@@ -126,6 +126,7 @@ def gen_moons(m_per_domain, rotation_degrees, noise, seed):
     _check("m_per_domain", m_per_domain, ok, "even and >= 40", str)
     _check_real("rotation_degrees", rotation_degrees, lambda r: 0.0 <= r <= 90.0, "in [0, 90]")
     _check_real("noise", noise, lambda sd: 0.0 <= sd < np.inf, "finite and >= 0")
+    _check_seed(seed)
     half = m_per_domain // 2
     angles = np.linspace(0.0, np.pi, half)
     outer = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -160,6 +161,7 @@ def gen_gaussian_shift(m, d, offset, scale, seed):
     offset = _finite_vector("offset", offset, d)
     scale = np.ones(d) if scale is None else _finite_vector("scale", scale, d)
     _check("scale", scale, bool((scale > 0.0).all()), "> 0", str)
+    _check_seed(seed)
     half = m // 2
     centers = np.zeros(d)
     sep = np.zeros(d)

@@ -70,6 +70,12 @@ def _check_real(name, value, ok=None, what=None):
         _check(name, value, ok(value), what, str)
 
 
+def _check_seed(seed):
+    """A random seed's rule: an integer >= 0 (numpy integers included, bool
+    and None not, so a seeded call never draws fresh entropy)."""
+    _check("seed", seed, _is_real(seed, _INTEGERS) and seed >= 0, "an integer >= 0")
+
+
 def _sequence(name, values, kind=float):
     """values as a tuple of kind (int, float or str); a ValueError names the
     field unless it is a sequence, not a string, of integers, real numbers

@@ -14,7 +14,7 @@ import numpy as np
 from . import discrepancy as disc
 from .discrepancy import DwmdConfig
 from .moments import (
-    _INTEGERS, _check, _check_count, _check_real, _is_real, _sequence, validate_samples
+    _check, _check_count, _check_real, _check_seed, _is_real, _sequence, validate_samples
 )
 
 __all__ = [
@@ -84,13 +84,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.regularizer not in REGULARIZERS:
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
-        lam, lr, seed, bw = self.lam, self.learning_rate, self.seed, self.mmd_bandwidth
+        lam, lr, bw = self.lam, self.learning_rate, self.mmd_bandwidth
         _check("lam", lam, _is_real(lam) and 0.0 <= lam < np.inf, "a finite number >= 0")
         _check("learning_rate", lr, _is_real(lr) and 0.0 < lr < np.inf, "a finite number > 0")
         _check_real("momentum", self.momentum, lambda mu: 0.0 <= mu < 1.0, "in [0, 1)")
         for name in ("epochs", "batch_size", "cmd_order"):
             _check_count(name, getattr(self, name))
-        _check("seed", seed, _is_real(seed, _INTEGERS) and seed >= 0, "an integer >= 0")
+        _check_seed(self.seed)
         ok = bw == "median" or (_is_real(bw) and 0.0 < bw < np.inf)
         _check("mmd_bandwidth", bw, ok, "'median' or a finite number > 0")
         trims = self.lam > 0.0 and self.regularizer in ("dwmd", "smd")

@@ -118,6 +118,86 @@ class TestDiscrepancy:
         assert "dwmd: error: out of memory: Unable to allocate 11.9 GiB" in capsys.readouterr().err
 
 
+# Every line `discrepancy` prints on the one-dimensional pair. Text mode
+# prints six significant digits and is pinned byte for byte; --json prints
+# full precision, whose last digit may differ between numpy builds for the
+# exp-derived values, so its keys are pinned in order and its values to 1e-12.
+SERIES_TEXT = (
+    "total 0.553327\n"
+    "per_order_totals 0.350361 0.128891 0.0491724 0.0181857 0.00671696\n"
+    "truncation_bound 0.03125\n"
+)
+SERIES_RECORD = {
+    "total": 0.5533272289372694,
+    "per_order_totals": [
+        0.3503613725442308, 0.12889074593963115, 0.04917241320282859,
+        0.01818574074058713, 0.006716956509991743,
+    ],
+    "truncation_bound": 0.03125,
+    "tau": [1.0],
+    "tau_normalized": [1.0],
+}
+PINNED_OUTPUT = [
+    (["--metric", "dwmd"], "metric dwmd\n" + SERIES_TEXT, {"metric": "dwmd", **SERIES_RECORD}),
+    (["--metric", "smd"], "metric smd\n" + SERIES_TEXT, {"metric": "smd", **SERIES_RECORD}),
+    (
+        ["--metric", "cmd"],
+        "metric cmd\ntotal 0.333333\n",
+        {"metric": "cmd", "total": 0.3333333333333333},
+    ),
+    (
+        ["--metric", "mmd"],
+        "metric mmd\ntotal 0.138583\n",
+        {"metric": "mmd", "total": 0.13858339038945547},
+    ),
+    # psi 0.5 < tau_max = 1, so nu = 0 and the stated tail diverges.
+    (
+        ["--psi", "0.5"],
+        "metric dwmd\ntotal 1.36459\n"
+        "per_order_totals 0.577648 0.350361 0.220375 0.134375 0.0818293\n"
+        "truncation_bound bound-divergent\n",
+        {
+            "metric": "dwmd",
+            "total": 1.3645898273529493,
+            "per_order_totals": [
+                0.5776482473453651, 0.3503613725442308, 0.22037546681326403,
+                0.13437545853280694, 0.08182928211728228,
+            ],
+            "truncation_bound": None,
+            "tau": [1.0],
+            "tau_normalized": [1.0],
+        },
+    ),
+]
+
+
+class TestDiscrepancyOutput:
+    @pytest.mark.parametrize("flags, text, record", PINNED_OUTPUT)
+    def test_text_lines(self, one_dim_pair, capsys, flags, text, record):
+        source, target = one_dim_pair
+        code = main(["discrepancy", "--source", source, "--target", target, *flags])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == text
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("flags, text, record", PINNED_OUTPUT)
+    def test_json_record(self, one_dim_pair, capsys, flags, text, record):
+        source, target = one_dim_pair
+        code = main(["discrepancy", "--source", source, "--target", target, *flags, "--json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.count("\n") == 1 and captured.out.endswith("}\n")
+        data = json.loads(captured.out)
+        assert list(data) == list(record)
+        for key, expected in record.items():
+            if isinstance(expected, str) or expected is None:
+                assert data[key] == expected
+            else:
+                assert data[key] == pytest.approx(expected, rel=1e-12)
+
+
 class TestUsageErrors:
     def test_unknown_flag_exit_1(self):
         with pytest.raises(SystemExit) as info:
@@ -161,6 +241,14 @@ class TestGen:
         )
         assert code == 2
         assert "expected 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--offset", "--scale"])
+    def test_unparsable_vector_exit_2_names_the_flag(self, tmp_path, capsys, flag):
+        out = str(tmp_path / "d")
+        code = main(["gen", "--task", "gaussian_shift", "--d", "2", flag, "1,abc", "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"dwmd: error: {flag}: could not convert string to float: 'abc'\n"
 
 
 def experiment_config(tmp_path):

@@ -6,6 +6,7 @@ way, and the command line builds its parser once."""
 import argparse
 import csv
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -293,3 +294,38 @@ def test_sweep_lam_under_a_regularizer(tmp_path, capsys):
     for lam in ("0.5", "2"):
         snapshot = tmp_path / "report" / f"lam_{lam}" / "config_snapshot.json"
         assert json.loads(snapshot.read_text())["cfg"]["lam"] == float(lam)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", True, None, np.float64(1.0)])
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda seed: gen_moons(60, 40.0, 0.1, seed),
+        lambda seed: gen_gaussian_shift(50, 2, [0.0, 0.0], None, seed),
+        lambda seed: TrainConfig(seed=seed),
+    ],
+    ids=["gen_moons", "gen_gaussian_shift", "TrainConfig"],
+)
+def test_seed_is_an_integer_at_least_zero(generate, seed):
+    # None would draw fresh entropy, so a "seeded" call would not repeat.
+    message = f"seed must be an integer >= 0, got {seed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate(seed)
+
+
+def test_generators_take_numpy_integer_seeds():
+    for a, b in zip(gen_moons(60, 40.0, 0.1, np.int64(3)), gen_moons(60, 40.0, 0.1, 3)):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("psi", [float("inf"), -float("inf"), float("nan"), 0.0])
+@pytest.mark.parametrize(
+    "call",
+    [lambda psi: DwmdConfig(psi=psi), lambda psi: truncation_bound(profile(), psi, 3)],
+    ids=["DwmdConfig", "truncation_bound"],
+)
+def test_psi_is_a_finite_number_above_zero(call, psi):
+    # An infinite psi zeroes every order weight: the series would read 0.
+    message = f"psi must be a finite number > 0, got {psi}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(psi)
