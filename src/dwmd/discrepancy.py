@@ -18,7 +18,11 @@ series and in the centred samples for CMD (each block of rows is centred as it
 is read, for the moments and the gradient alike, so no centred copy of a side
 exists). One helper, _power_series, evaluates them by Horner's rule, into one
 output array per sample matrix, one block of moments.BLOCK_ROWS rows at a
-time. The MMD value
+time. The source and target sides of the series moments and gradient, and of
+the CMD ranges and central moments, run on two threads when both sides have
+more than BLOCK_ROWS rows and the process may run on two CPUs (moments._both);
+CMD's two gradient sides stay one after the other, so one block of centred
+rows exists at a time. The MMD value
 and gradient are accumulated over blocks of rows of the pooled kernel matrix,
 at most BLOCK_ENTRIES entries each, so the (m_s + m_t)^2 matrix never exists;
 its median bandwidth is taken over at most MEDIAN_ROWS pooled rows.
@@ -29,8 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moments import (
-    _central_moments, _check, _check_count, _check_real, _pooled_mean_scale, _power_means,
-    _row_blocks, _validate_pair,
+    _both, _central_moments, _check, _check_count, _check_real, _pooled_mean_scale,
+    _power_means, _row_blocks, _validate_pair,
 )
 from .weighting import WeightProfile, _check_alpha, _check_c, _median_in_place, weight_profile
 
@@ -181,7 +185,11 @@ def _series(s, t, config=None, frozen=None, uniform=False, with_gradient=False):
         tau_c = float(profile.tau_normalized.mean())
         profile = replace(profile, tau_normalized=np.full(profile.d, tau_c))
 
-    delta = _power_means(s, config.n, "raw") - _power_means(t, config.n, "raw")
+    rows = min(s.shape[0], t.shape[0])
+    moments_s, moments_t = _both(
+        lambda: _power_means(s, config.n, "raw"), lambda: _power_means(t, config.n, "raw"), rows
+    )
+    delta = moments_s - moments_t
     report, gap, powered, weights = _report(delta, profile, config)
     if not with_gradient:
         return report
@@ -200,8 +208,11 @@ def _series(s, t, config=None, frozen=None, uniform=False, with_gradient=False):
     coeff = weights * dfrac * np.sign(delta) * np.arange(1, config.n + 1)[:, None]
     if config.standardize:
         coeff = coeff / scale
-    grad_s = _power_series(s, coeff / s.shape[0])
-    grad_t = _power_series(t, coeff / -t.shape[0])
+    grad_s, grad_t = _both(
+        lambda: _power_series(s, coeff / s.shape[0]),
+        lambda: _power_series(t, coeff / -t.shape[0]),
+        rows,
+    )
     return report, grad_s, grad_t
 
 
@@ -274,8 +285,13 @@ def smd_gradient(source, target, config=None, profile=None):
 
 
 def _cmd_widths(source, target):
-    top = np.maximum(source.max(axis=0), target.max(axis=0))
-    bottom = np.minimum(source.min(axis=0), target.min(axis=0))
+    """Per-dimension width of the pooled range, floored at CMD_WIDTH_FLOOR."""
+    (s_top, s_bottom), (t_top, t_bottom) = _both(
+        lambda: (source.max(axis=0), source.min(axis=0)),
+        lambda: (target.max(axis=0), target.min(axis=0)),
+        min(source.shape[0], target.shape[0]),
+    )
+    top, bottom = np.maximum(s_top, t_top), np.minimum(s_bottom, t_bottom)
     return np.maximum(top - bottom, CMD_WIDTH_FLOOR)
 
 
@@ -297,8 +313,11 @@ def cmd_with_gradient(source, target, k=5, widths=None):
     s, t = _validate_pair(source, target)
     if widths is None:
         widths = _cmd_widths(s, t)
-    cs, mu_s = _central_moments(s, k, "k")
-    ct, mu_t = _central_moments(t, k, "k")
+    (cs, mu_s), (ct, mu_t) = _both(
+        lambda: _central_moments(s, k, "k"),
+        lambda: _central_moments(t, k, "k"),
+        min(s.shape[0], t.shape[0]),
+    )
     orders = np.arange(1, k + 1)[:, None]
     w_pow = widths**orders
     v = (cs - ct) / w_pow

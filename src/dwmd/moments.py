@@ -12,8 +12,19 @@ Besides its (n, d) result a moment call allocates one block of scratch (two
 for central moments, whose blocks are centred as they are read). An input
 numpy would sum pairwise (d = 1, F order, a strided view) stays one block,
 its scratch in the input's layout, so that numpy adds its rows as in one pass.
+
+The two domains of a pair are reduced apart and meet only where their results
+are subtracted, so _both runs the two sides of such a pair, or two halves of
+one pass, on two threads (numpy releases the interpreter lock in its array
+loops) when the input has more than BLOCK_ROWS rows and the process may run
+on two CPUs. No per-column computation changes with the thread, so the
+results are bit-identical either way.
+
 The package's argument checks are written here too, all on _check.
 """
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,6 +41,12 @@ __all__ = [
 # 1024 x 64 float64 block is 512 KB, inside a 2 MiB L2 with room for a
 # second block beside it.
 BLOCK_ROWS = 1024
+
+# CPUs this process may run on, read once at import (so `taskset -c 0`
+# keeps every pass on the calling thread).
+_CPUS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 class MomentOverflowError(FloatingPointError):
@@ -129,6 +146,35 @@ def _validate_pair(source, target):
             f"target has d={t.shape[1]}"
         )
     return s, t
+
+
+def _threaded(rows):
+    """Whether _both runs its second call on a worker thread."""
+    return rows > BLOCK_ROWS and _CPUS >= 2
+
+
+def _both(first, second, rows):
+    """(first(), second()) for two independent calls on inputs of about rows
+    rows each; second runs on a worker thread, joined before this returns,
+    when rows > BLOCK_ROWS and the process may run on two CPUs.
+
+    The worker runs under the caller's numpy error state. If first raises,
+    its error is raised once second has finished, whatever second did.
+    """
+    if not _threaded(rows):
+        return first(), second()
+    errors = np.geterr()
+
+    def run_second():
+        with np.errstate(**errors):
+            return second()
+
+    with ThreadPoolExecutor(1) as pool:
+        later = pool.submit(run_second)
+        # If first raises, leaving the block joins the worker and second's
+        # outcome, error or not, is dropped.
+        result = first()
+    return result, later.result()
 
 
 def _row_blocks(x):

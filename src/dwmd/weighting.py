@@ -16,14 +16,20 @@ distances tie. The samples are first copied to one contiguous row per
 dimension, transposed in blocks of BLOCK_ROWS rows so that each block stays
 in cache; the median, the distances, the selections and the masked sum then
 run on blocks of dimensions holding about as many entries, with one
-block-sized distance buffer.
+block-sized distance buffer. Above BLOCK_ROWS rows, when the process may run
+on two CPUs, two threads share each side's work (moments._both): each
+transposes half of the row blocks, then takes half of the dimensions with a
+half-size buffer. The two sides of a profile stay one after the other, so
+only one transposed copy exists at a time.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import BLOCK_ROWS, _check, _check_real, _is_real, _validate_pair, validate_samples
+from .moments import (
+    BLOCK_ROWS, _both, _check, _check_real, _is_real, _threaded, _validate_pair, validate_samples,
+)
 
 __all__ = ["WeightProfile", "robust_dim_means", "weight_profile", "TAU_FLOOR", "C_FLOOR", "C_POLICIES"]
 
@@ -109,17 +115,39 @@ def _trimmed_means(x, alpha):
         return x.mean(axis=0)
     # One contiguous row per dimension: median and partition run along it.
     cols = np.empty((d, m))
-    for start in range(0, m, BLOCK_ROWS):
-        cols[:, start : start + BLOCK_ROWS] = x[start : start + BLOCK_ROWS].T
-    del start  # else the loop's last int object counts in the peak below
-    # Dimensions per block: about as many entries as BLOCK_ROWS rows of x.
-    step = max(1, BLOCK_ROWS * d // m)
-    dist = np.empty((min(step, d), m))
     sums = np.empty(d)
-    for j in range(0, d, step):
+    if _threaded(m):
+        # Two threads (moments._both): each transposes half of the row
+        # blocks, then takes half of the dimensions with a half-size block.
+        halves, mid_row, mid_dim = 2, BLOCK_ROWS * -(-m // (2 * BLOCK_ROWS)), d // 2
+    else:
+        halves, mid_row, mid_dim = 1, m, d
+    # Dimensions per block: about as many entries as BLOCK_ROWS rows of x.
+    step = max(1, BLOCK_ROWS * d // (halves * m))
+    _both(lambda: _transpose(x, cols, 0, mid_row), lambda: _transpose(x, cols, mid_row, m), m)
+    _both(
+        lambda: _kept_block_sums(cols[:mid_dim], sums[:mid_dim], n_keep, step),
+        lambda: _kept_block_sums(cols[mid_dim:], sums[mid_dim:], n_keep, step),
+        m,
+    )
+    return sums / n_keep
+
+
+def _transpose(x, cols, start, stop):
+    """Copy rows start:stop of x into the same columns of cols, a (d, m)
+    array, BLOCK_ROWS rows at a time so that each block stays in cache."""
+    for row in range(start, stop, BLOCK_ROWS):
+        rows = slice(row, min(row + BLOCK_ROWS, stop))
+        cols[:, rows] = x[rows].T
+
+
+def _kept_block_sums(cols, sums, n_keep, step):
+    """_kept_sums of each row of cols into sums, step rows at a time, with
+    one distance buffer of step rows."""
+    dist = np.empty((min(step, cols.shape[0]), cols.shape[1]))
+    for j in range(0, cols.shape[0], step):
         block = cols[j : j + step]
         sums[j : j + step] = _kept_sums(block, dist[: block.shape[0]], n_keep)
-    return sums / n_keep
 
 
 def _kept_sums(cols, dist, n_keep):
@@ -129,20 +157,22 @@ def _kept_sums(cols, dist, n_keep):
     np.copyto(dist, cols)
     med = _median_in_place(dist)[:, None]
     np.abs(np.subtract(cols, med, out=dist), out=dist)
-    # The n_keep-th smallest distance, selected in place; recomputing the
-    # distances afterwards restores row order without a second buffer.
+    # The n_keep-th smallest distance, selected in place. The entries after
+    # it are no smaller, so a row has more distances at the cut than places
+    # left iff one of them equals it. Recomputing the distances afterwards
+    # restores row order without a second buffer.
     dist.partition(n_keep - 1, axis=1)
     thr = dist[:, n_keep - 1 : n_keep].copy()
+    surplus = np.flatnonzero(dist[:, n_keep:].min(axis=1) == thr[:, 0])
     np.abs(np.subtract(cols, med, out=dist), out=dist)
-    keep = dist < thr
-    tied = dist == thr
-    # Among distances equal to thr keep the earliest rows, as a stable sort
-    # would; only dimensions with more ties than places left need the count.
-    need = n_keep - np.count_nonzero(keep, axis=1)
-    surplus = np.flatnonzero(np.count_nonzero(tied, axis=1) > need)
+    keep = dist <= thr
     if surplus.size:
-        tied[surplus] &= np.cumsum(tied[surplus], axis=1) <= need[surplus, None]
-    keep |= tied
+        # Among distances equal to thr keep the earliest rows, as a stable
+        # sort would.
+        near, cut = dist[surplus], thr[surplus]
+        tied = near == cut
+        need = n_keep - np.count_nonzero(near < cut, axis=1)
+        keep[surplus] &= ~tied | (np.cumsum(tied, axis=1) <= need[:, None])
     return cols.sum(axis=1, where=keep)
 
 

@@ -1,0 +1,121 @@
+"""The two halves of a pair kernel on one thread or two (moments._both).
+
+moments._CPUS is set to 1 and to 2, so both paths run whatever the machine:
+the results must be bit-identical, the source's error must win, the worker
+must run under the caller's numpy error state and be joined before the call
+returns.
+"""
+
+import threading
+import warnings
+
+import numpy as np
+import pytest
+
+from dwmd import moments
+from dwmd.discrepancy import DwmdConfig, cmd_with_gradient, dwmd, dwmd_gradient, dwmd_with_gradient
+from dwmd.moments import BLOCK_ROWS, MomentOverflowError
+from dwmd.weighting import weight_profile
+from test_blocked_passes import DIMS, LAYOUTS, ROWS, sample
+
+
+@pytest.fixture(params=[1, 2], ids=["one CPU", "two CPUs"])
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(moments, "_CPUS", request.param)
+    return request.param
+
+
+def outputs(s, t):
+    """Every array and number the pair kernels return for (s, t)."""
+    profile = weight_profile(s, t, 0.1, "tau_vector", None)
+    out = [profile.tau, profile.tau_normalized, profile.tau_max, profile.c_resolved]
+    for uniform in (False, True):
+        report, g_s, g_t = dwmd_with_gradient(s, t, DwmdConfig(standardize=True), uniform=uniform)
+        out += [report.per_order_terms, report.total, g_s, g_t]
+    out += list(cmd_with_gradient(s, t, 5))
+    return out
+
+
+def on(n_cpus, call):
+    """call() with moments._CPUS set to n_cpus, checking that no thread is
+    left running afterwards."""
+    saved, moments._CPUS = moments._CPUS, n_cpus
+    threads = threading.active_count()
+    try:
+        return call()
+    finally:
+        moments._CPUS = saved
+        assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("m", ROWS)
+def test_bit_identical_on_one_and_two_cpus(m, d, layout):
+    s = sample(m, d, layout)
+    t = sample(m + 7, d, layout) * 1.5 + 0.25
+    one = on(1, lambda: outputs(s, t))
+    two = on(2, lambda: outputs(s, t))
+    for a, b in zip(one, two):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_second_runs_on_a_worker_only_above_one_block(cpus):
+    same = moments._both(threading.get_ident, threading.get_ident, BLOCK_ROWS)
+    assert same[0] == same[1]
+    split = moments._both(threading.get_ident, threading.get_ident, BLOCK_ROWS + 1)
+    assert (split[0] != split[1]) == (cpus == 2)
+
+
+def overflowing_pair():
+    """A source whose raw moments overflow at order 2 in dimension 1 and a
+    target whose overflow at order 4 in dimension 0."""
+    s = np.ones((3 * BLOCK_ROWS, 2))
+    t = np.ones((3 * BLOCK_ROWS, 2))
+    s[5, 1] = 1e160
+    t[7, 0] = 1e80
+    return s, t
+
+
+def test_when_both_sides_overflow_the_source_error_is_raised(cpus):
+    s, t = overflowing_pair()
+    threads = threading.active_count()
+    with pytest.raises(MomentOverflowError, match="raw moment at order 2, dimension 1"):
+        dwmd(s, t)
+    assert threading.active_count() == threads
+
+
+def test_a_failure_on_the_target_alone_propagates(cpus):
+    s, t = overflowing_pair()
+    s[5, 1] = 1.0
+    with pytest.raises(MomentOverflowError, match="raw moment at order 4, dimension 0"):
+        dwmd(s, t)
+    t[7, 0] = 1e160  # overflows the centred moments at order 2
+    with pytest.raises(MomentOverflowError, match="central moment at order 2, dimension 0"):
+        cmd_with_gradient(s, t)
+
+
+def test_the_worker_runs_under_the_callers_error_state(cpus):
+    def overflow():
+        return np.full(3, 1e308) * 10.0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            _, out = moments._both(lambda: None, overflow, BLOCK_ROWS + 1)
+        assert np.isinf(out).all()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            moments._both(lambda: None, overflow, BLOCK_ROWS + 1)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            moments._both(lambda: None, overflow, BLOCK_ROWS + 1)
+
+
+def test_sides_are_told_apart_by_position(cpus):
+    x = sample(3 * BLOCK_ROWS + 5, 3, "C")
+    y = x * 1.5 + 0.25
+    g_s, g_t = dwmd_gradient(x, x)
+    np.testing.assert_array_equal(g_t, -g_s)
+    forward = dwmd_gradient(x, y)
+    backward = dwmd_gradient(y, x)
+    np.testing.assert_array_equal(backward[0], forward[1])
+    np.testing.assert_array_equal(backward[1], forward[0])
