@@ -148,14 +148,21 @@ def _cmd_sweep(args):
     out_dir = args.out or exp.outputs
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
-        raise ValueError("no sweep values given")
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
+        raise ValueError("--values: no sweep values given")
+    # Every point is parsed and checked before anything is written or run.
+    points = []
     for raw in values:
+        try:
+            value = parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"--values: {exc}") from None
         data = harness.experiment_to_dict(exp)
         cfg = data["cfg"]
-        (cfg[section] if section else cfg)[key] = parse(raw)
-        point = harness.experiment_from_dict(data)
+        (cfg[section] if section else cfg)[key] = value
+        points.append((raw, harness.experiment_from_dict(data)))
+    os.makedirs(out_dir, exist_ok=True)
+    rows = []
+    for raw, point in points:
         report = harness.run_experiment(point)
         sub_dir = os.path.join(out_dir, f"{args.param}_{raw}")
         harness.write_report(report, sub_dir)

@@ -14,11 +14,11 @@ numpy would sum pairwise (d = 1, F order, a strided view) stays one block,
 its scratch in the input's layout, so that numpy adds its rows as in one pass.
 
 The two domains of a pair are reduced apart and meet only where their results
-are subtracted, so _both runs the two sides of such a pair, or two halves of
-one pass, on two threads (numpy releases the interpreter lock in its array
-loops) when the input has more than BLOCK_ROWS rows and the process may run
-on two CPUs. No per-column computation changes with the thread, so the
-results are bit-identical either way.
+are subtracted, so _both runs the two sides of such a pair on two threads
+(numpy releases the interpreter lock in its array loops) when the input has
+more than BLOCK_ROWS rows and the process may run on two CPUs. No per-column
+computation changes with the thread, so the results are bit-identical either
+way.
 
 The package's argument checks are written here too, all on _check.
 """
@@ -37,7 +37,7 @@ __all__ = [
     "standardize_pooled",
 ]
 
-# Rows per block of the moment, power-series and transpose passes: a
+# Rows per block of the moment, power-series and trimming passes: a
 # 1024 x 64 float64 block is 512 KB, inside a 2 MiB L2 with room for a
 # second block beside it.
 BLOCK_ROWS = 1024
@@ -148,11 +148,6 @@ def _validate_pair(source, target):
     return s, t
 
 
-def _threaded(rows):
-    """Whether _both runs its second call on a worker thread."""
-    return rows > BLOCK_ROWS and _CPUS >= 2
-
-
 def _both(first, second, rows):
     """(first(), second()) for two independent calls on inputs of about rows
     rows each; second runs on a worker thread, joined before this returns,
@@ -161,7 +156,7 @@ def _both(first, second, rows):
     The worker runs under the caller's numpy error state. If first raises,
     its error is raised once second has finished, whatever second did.
     """
-    if not _threaded(rows):
+    if rows <= BLOCK_ROWS or _CPUS < 2:
         return first(), second()
     errors = np.geterr()
 

@@ -12,15 +12,12 @@ each dimension while staying deterministic and dependency-free. The cut is
 found by selection (introselect, through np.partition) in expected O(m) time
 per dimension, not by sorting; among samples tied at the cut the earliest rows
 are kept, so a row permutation moves a trimmed mean only by rounding when no
-distances tie. The samples are first copied to one contiguous row per
-dimension, transposed in blocks of BLOCK_ROWS rows so that each block stays
-in cache; the median, the distances, the selections and the masked sum then
-run on blocks of dimensions holding about as many entries, with one
-block-sized distance buffer. Above BLOCK_ROWS rows, when the process may run
-on two CPUs, two threads share each side's work (moments._both): each
-transposes half of the row blocks, then takes half of the dimensions with a
-half-size buffer. The two sides of a profile stay one after the other, so
-only one transposed copy exists at a time.
+distances tie. The columns are trimmed in chunks of about as many entries as
+BLOCK_ROWS rows (a batch of up to BLOCK_ROWS rows is one chunk), each
+gathered BLOCK_ROWS rows at a time into one contiguous row per dimension,
+where the median, distances, selections and masked sum run with one distance
+buffer of the same size. The two sides of a profile run as a pair
+(moments._both).
 """
 
 from dataclasses import dataclass
@@ -28,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import (
-    BLOCK_ROWS, _both, _check, _check_real, _is_real, _threaded, _validate_pair, validate_samples,
+    BLOCK_ROWS, _both, _check, _check_real, _is_real, _validate_pair, validate_samples,
 )
 
 __all__ = ["WeightProfile", "robust_dim_means", "weight_profile", "TAU_FLOOR", "C_FLOOR", "C_POLICIES"]
@@ -113,41 +110,19 @@ def _trimmed_means(x, alpha):
         raise ValueError(f"trimming with alpha={alpha} would discard all {m} samples")
     if n_drop == 0:
         return x.mean(axis=0)
+    # Columns per chunk: about as many entries as BLOCK_ROWS rows of x, and
+    # at least a cache line of 8 once d >= 32.
+    width = min(d, max(BLOCK_ROWS * d // m, min(8, d // 4), 1))
     # One contiguous row per dimension: median and partition run along it.
-    cols = np.empty((d, m))
+    chunk, dist = np.empty((width, m)), np.empty((width, m))
     sums = np.empty(d)
-    if _threaded(m):
-        # Two threads (moments._both): each transposes half of the row
-        # blocks, then takes half of the dimensions with a half-size block.
-        halves, mid_row, mid_dim = 2, BLOCK_ROWS * -(-m // (2 * BLOCK_ROWS)), d // 2
-    else:
-        halves, mid_row, mid_dim = 1, m, d
-    # Dimensions per block: about as many entries as BLOCK_ROWS rows of x.
-    step = max(1, BLOCK_ROWS * d // (halves * m))
-    _both(lambda: _transpose(x, cols, 0, mid_row), lambda: _transpose(x, cols, mid_row, m), m)
-    _both(
-        lambda: _kept_block_sums(cols[:mid_dim], sums[:mid_dim], n_keep, step),
-        lambda: _kept_block_sums(cols[mid_dim:], sums[mid_dim:], n_keep, step),
-        m,
-    )
+    for j in range(0, d, width):
+        cols = chunk[: min(width, d - j)]
+        for row in range(0, m, BLOCK_ROWS):
+            rows = slice(row, row + BLOCK_ROWS)
+            cols[:, rows] = x[rows, j : j + width].T
+        sums[j : j + width] = _kept_sums(cols, dist[: cols.shape[0]], n_keep)
     return sums / n_keep
-
-
-def _transpose(x, cols, start, stop):
-    """Copy rows start:stop of x into the same columns of cols, a (d, m)
-    array, BLOCK_ROWS rows at a time so that each block stays in cache."""
-    for row in range(start, stop, BLOCK_ROWS):
-        rows = slice(row, min(row + BLOCK_ROWS, stop))
-        cols[:, rows] = x[rows].T
-
-
-def _kept_block_sums(cols, sums, n_keep, step):
-    """_kept_sums of each row of cols into sums, step rows at a time, with
-    one distance buffer of step rows."""
-    dist = np.empty((min(step, cols.shape[0]), cols.shape[1]))
-    for j in range(0, cols.shape[0], step):
-        block = cols[j : j + step]
-        sums[j : j + step] = _kept_sums(block, dist[: block.shape[0]], n_keep)
 
 
 def _kept_sums(cols, dist, n_keep):
@@ -210,7 +185,9 @@ def weight_profile(source, target, alpha=0.1, c_policy="scalar", c_value=0.05):
     the normalized vector degenerates to all-ones (uniform weighting).
     """
     s, t = _validate_pair(source, target)
-    tau = np.abs(_trimmed_means(s, alpha) - _trimmed_means(t, alpha))
+    rows = min(s.shape[0], t.shape[0])
+    means = _both(lambda: _trimmed_means(s, alpha), lambda: _trimmed_means(t, alpha), rows)
+    tau = np.abs(means[0] - means[1])
     tau_max = float(tau.max())
     if tau_max > 0.0:
         tau_normalized = np.maximum(tau / tau_max, TAU_FLOOR)

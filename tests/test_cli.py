@@ -296,6 +296,22 @@ class TestTrainAndSweep:
         assert code == 2
         assert "no sweep values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ("2,2.5", "--values: invalid literal for int() with base 10: '2.5'"),
+            ("2,0", "n must be >= 1, got 0"),
+        ],
+    )
+    def test_sweep_bad_value_exit_2_before_any_run(self, tmp_path, capsys, values, message):
+        config, report_dir = experiment_config(tmp_path)
+        code = main(["sweep", "--config", config, "--param", "n", "--values", values])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"dwmd: error: {message}\n"
+        assert captured.out == ""
+        assert not os.path.exists(report_dir)
+
 
 def regularizer_config(tmp_path, regularizer, c_policy="scalar"):
     cfg = TrainConfig(

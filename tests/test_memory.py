@@ -47,6 +47,13 @@ def test_weight_profile_peak(moment_pair):
     assert peak < 1.75 * s.nbytes
 
 
+def test_weight_profile_holds_no_copy_of_a_tall_side():
+    rng = np.random.default_rng(13)
+    s, t = rng.normal(size=(20_000, 64)), rng.normal(0.3, 1.2, (20_000, 64))
+    peak = peak_bytes(lambda: weight_profile(s, t, 0.1, "scalar", 0.05))
+    assert peak < 0.75 * s.nbytes
+
+
 def test_cmd_gradient_peak(moment_pair):
     s, t = moment_pair
     peak = peak_bytes(lambda: cmd_with_gradient(s, t, 5))

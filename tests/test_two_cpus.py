@@ -15,8 +15,8 @@ import pytest
 from dwmd import moments
 from dwmd.discrepancy import DwmdConfig, cmd_with_gradient, dwmd, dwmd_gradient, dwmd_with_gradient
 from dwmd.moments import BLOCK_ROWS, MomentOverflowError
-from dwmd.weighting import weight_profile
-from test_blocked_passes import DIMS, LAYOUTS, ROWS, sample
+from dwmd.weighting import _trimmed_means, weight_profile
+from test_blocked_passes import DIMS, LAYOUTS, ROWS, reference_trimmed_means, sample
 
 
 @pytest.fixture(params=[1, 2], ids=["one CPU", "two CPUs"])
@@ -58,6 +58,21 @@ def test_bit_identical_on_one_and_two_cpus(m, d, layout):
     two = on(2, lambda: outputs(s, t))
     for a, b in zip(one, two):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("integers", [False, True])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("d", [12, 13, 33])
+def test_trimmed_means_over_uneven_column_chunks(cpus, d, layout, integers):
+    # Tall enough that a chunk is narrower than d; at d = 13 and 33, d is
+    # not a multiple of the chunk width.
+    s = sample(9000, d, layout, integers)
+    t = s * 1.5 + 0.25
+    expected = [reference_trimmed_means(x, 0.1) for x in (s, t)]
+    for x, means in zip((s, t), expected):
+        np.testing.assert_array_equal(_trimmed_means(x, 0.1), means)
+    profile = weight_profile(s, t, 0.1, "scalar", 0.05)
+    np.testing.assert_array_equal(profile.tau, np.abs(expected[0] - expected[1]))
 
 
 def test_second_runs_on_a_worker_only_above_one_block(cpus):
