@@ -150,19 +150,21 @@ def _cmd_sweep(args):
     if not values:
         raise ValueError("--values: no sweep values given")
     # Every point is parsed and checked before anything is written or run.
-    points = []
+    points = {}
     for raw in values:
         try:
             value = parse(raw)
         except ValueError as exc:
             raise ValueError(f"--values: {exc}") from None
+        if value in points:
+            raise ValueError(f"--values: {raw} repeats the point {points[value][0]}")
         data = harness.experiment_to_dict(exp)
         cfg = data["cfg"]
         (cfg[section] if section else cfg)[key] = value
-        points.append((raw, harness.experiment_from_dict(data)))
+        points[value] = raw, harness.experiment_from_dict(data)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for raw, point in points:
+    for raw, point in points.values():
         report = harness.run_experiment(point)
         sub_dir = os.path.join(out_dir, f"{args.param}_{raw}")
         harness.write_report(report, sub_dir)

@@ -33,8 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moments import (
-    _both, _central_moments, _check, _check_count, _check_real, _pooled_mean_scale,
-    _power_means, _row_blocks, _validate_pair,
+    _both, _central_moments, _check, _check_count, _check_real, _finite_vector,
+    _pooled_mean_scale, _power_means, _row_blocks, _validate_pair,
 )
 from .weighting import WeightProfile, _check_alpha, _check_c, _median_in_place, weight_profile
 
@@ -165,15 +165,22 @@ def _tail_bound(profile, psi, n):
 
 def _series(s, t, config=None, frozen=None, uniform=False, with_gradient=False):
     """The series kernel on two float64 (m, d) matrices with a common d, which
-    it does not check: (optionally) standardize them, build the weight
-    profile unless a frozen one is given (weight_profile checks the samples),
-    and evaluate the report. uniform replaces the normalized weight vector by
-    its component average (SMD). Returns the report, or (report, grad_source,
-    grad_target) when with_gradient is set; the gradient holds the weight
-    profile and the pooled standardization statistics constant, since the
-    trimming estimator is piecewise constant in the samples.
+    it does not check: check the config and a frozen profile, (optionally)
+    standardize the samples, build the weight profile unless a frozen one is
+    given (weight_profile checks the samples), and evaluate the report.
+    uniform replaces the normalized weight vector by its component average
+    (SMD). Returns the report, or (report, grad_source, grad_target) when
+    with_gradient is set; the gradient holds the weight profile and the
+    pooled standardization statistics constant, since the trimming estimator
+    is piecewise constant in the samples.
     """
+    ok = config is None or isinstance(config, DwmdConfig)
+    _check("config", config, ok, "a DwmdConfig or None")
     config = config or DwmdConfig()
+    if frozen is not None:
+        _check("profile", frozen, isinstance(frozen, WeightProfile), "a WeightProfile or None")
+        what = f"a WeightProfile of d = {s.shape[1]}"
+        _check("profile", f"d = {frozen.d}", frozen.d == s.shape[1], what, str)
     if config.standardize:
         mu, scale = _pooled_mean_scale(s, t)
         s = (s - mu) / scale
@@ -308,11 +315,16 @@ def cmd(source, target, k=5):
 
 def cmd_with_gradient(source, target, k=5, widths=None):
     """CMD value and its gradient with respect to both sample matrices
-    (widths held constant; pass widths explicitly to freeze them across
-    calls, e.g. for finite-difference checks)."""
+    (widths held constant; pass widths, d finite numbers > 0, explicitly to
+    freeze them across calls, e.g. for finite-difference checks)."""
     s, t = _validate_pair(source, target)
     if widths is None:
         widths = _cmd_widths(s, t)
+    else:
+        d = s.shape[1]
+        v = _finite_vector("widths", widths, d)
+        _check("widths", widths, (v > 0.0).all(), f"a list of {d} finite numbers > 0")
+        widths = v
     (cs, mu_s), (ct, mu_t) = _both(
         lambda: _central_moments(s, k, "k"),
         lambda: _central_moments(t, k, "k"),

@@ -91,6 +91,7 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "cmd_order"):
             _check_count(name, getattr(self, name))
         _check_seed(self.seed)
+        _check("dwmd", self.dwmd, isinstance(self.dwmd, DwmdConfig), "a DwmdConfig")
         ok = bw == "median" or (_is_real(bw) and 0.0 < bw < np.inf)
         _check("mmd_bandwidth", bw, ok, "'median' or a finite number > 0")
         trims = self.lam > 0.0 and self.regularizer in ("dwmd", "smd")
@@ -121,9 +122,11 @@ def _activate(name, z):
 
 
 def _activate_grad(name, a):
-    # Derivative expressed through the activation value.
+    # Derivative expressed through the activation value, built in one array.
     if name == "sigmoid":
-        return a * (1.0 - a)
+        slope = 1.0 - a
+        slope *= a
+        return slope
     return (a > 0.0).astype(np.float64)
 
 
@@ -181,68 +184,62 @@ def _regularizer_terms(cfg, a_s, a_t, frozen=None):
 
 
 def _backward(model, x, hiddens, delta_out, external):
-    """Backpropagate, injecting extra gradients on hidden activations.
-
-    delta_out: gradient at the output pre-activation (None for a pass with
-    no classification loss). external: dict hidden-index -> gradient on that
-    layer's activations. Returns (grad_w, grad_b) lists.
-    """
-    spec = model.spec
-    grad_w = [np.zeros_like(w) for w in model.weights]
-    grad_b = [np.zeros_like(b) for b in model.biases]
-    if delta_out is not None:
-        grad_w[-1] = hiddens[-1].T @ delta_out
-        grad_b[-1] = delta_out.sum(axis=0)
-        delta_a = delta_out @ model.weights[-1].T
-    else:
-        delta_a = np.zeros_like(hiddens[-1])
-    for i in range(spec.n_hidden - 1, -1, -1):
+    """Backpropagate delta_out, the gradient at the output pre-activation,
+    over the rows of x. external maps a hidden-layer index to the (source,
+    target) gradients on its activations, added to the first rows and to the
+    rest. Returns (grad_w, grad_b) lists, summed over every row."""
+    grad_w, grad_b = [None] * len(model.weights), [None] * len(model.biases)
+    grad_w[-1] = hiddens[-1].T @ delta_out
+    grad_b[-1] = delta_out.sum(axis=0)
+    delta = delta_out @ model.weights[-1].T
+    for i in range(model.spec.n_hidden - 1, -1, -1):
+        # delta: the gradient at layer i's activations, then at its pre-activations.
         if i in external:
-            delta_a = delta_a + external[i]
-        delta_z = delta_a * _activate_grad(spec.activations[i], hiddens[i])
+            g_s, g_t = external[i]
+            delta[: g_s.shape[0]] += g_s
+            delta[g_s.shape[0] :] += g_t
+        delta *= _activate_grad(model.spec.activations[i], hiddens[i])
         below = x if i == 0 else hiddens[i - 1]
-        grad_w[i] = below.T @ delta_z
-        grad_b[i] = delta_z.sum(axis=0)
+        grad_w[i] = below.T @ delta
+        grad_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta_a = delta_z @ model.weights[i].T
+            delta = delta @ model.weights[i].T
     return grad_w, grad_b
 
 
 def objective_gradient(model, x_s, y_s, x_t, cfg, frozen_profiles=None):
-    """Loss, per-matched-layer regularizer values, and full parameter
-    gradient for one source/target batch pair.
+    """Loss, cross-entropy, per-matched-layer regularizer values and full
+    parameter gradient for one source/target batch pair.
 
-    The loss is mean cross-entropy on the source batch plus lambda times the
-    summed regularizer values; the weight profile inside the regularizer is
+    The loss is mean source cross-entropy plus lambda times the summed
+    regularizer values. A regularized step makes one forward and one backward
+    pass over the source rows stacked on the target rows, any other step one
+    over the source rows. The weight profile inside the regularizer is
     recomputed from the batch activations and held constant (stop-gradient).
     frozen_profiles maps a matched layer to the constants to pin instead: a
     WeightProfile for dwmd/smd, or a width vector for cmd. This is the form
     finite-difference checks differentiate.
     """
-    hid_s, probs = _forward(model, x_s)
     m_b = x_s.shape[0]
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(m_b), y_s] = 1.0
-    ce = float(-np.mean(np.log(np.clip(probs[np.arange(m_b), y_s], 1e-300, None))))
-    delta_out = (probs - onehot) / m_b
-
-    reg_values, ext_s, ext_t = {}, {}, {}
-    if cfg.lam > 0.0 and cfg.regularizer != "none":
-        hid_t, _ = _forward(model, x_t)
+    regularized = cfg.lam > 0.0 and cfg.regularizer != "none"
+    x = np.vstack([x_s, x_t]) if regularized else x_s
+    hiddens, probs = _forward(model, x)
+    rows = np.arange(m_b)
+    ce = float(-np.mean(np.log(np.clip(probs[rows, y_s], 1e-300, None))))
+    delta_out = probs  # (probs - onehot) / m_b on the source rows, 0 on the target rows
+    delta_out[rows, y_s] -= 1.0
+    delta_out[:m_b] /= m_b
+    delta_out[m_b:] = 0.0
+    reg_values, external = dict.fromkeys(model.spec.matched_layers, 0.0), {}
+    if regularized:
         for layer in model.spec.matched_layers:
             frozen = frozen_profiles.get(layer) if frozen_profiles else None
-            value, g_s, g_t = _regularizer_terms(cfg, hid_s[layer], hid_t[layer], frozen)
-            reg_values[layer] = value
-            ext_s[layer] = cfg.lam * g_s
-            ext_t[layer] = cfg.lam * g_t
-    else:
-        reg_values = dict.fromkeys(model.spec.matched_layers, 0.0)
-
-    grad_w, grad_b = _backward(model, x_s, hid_s, delta_out, ext_s)
-    if ext_t:
-        gtw, gtb = _backward(model, x_t, hid_t, None, ext_t)
-        grad_w = [a + b for a, b in zip(grad_w, gtw)]
-        grad_b = [a + b for a, b in zip(grad_b, gtb)]
+            a = hiddens[layer]
+            reg_values[layer], g_s, g_t = _regularizer_terms(cfg, a[:m_b], a[m_b:], frozen)
+            g_s *= cfg.lam
+            g_t *= cfg.lam
+            external[layer] = g_s, g_t
+    grad_w, grad_b = _backward(model, x, hiddens, delta_out, external)
     loss = ce + cfg.lam * sum(reg_values.values())
     return loss, ce, reg_values, grad_w, grad_b
 
@@ -313,7 +310,7 @@ def train_uda(source, source_labels, target, spec, cfg, target_labels=None):
                 except ValueError as exc:
                     # The inputs were checked above, so non-finite activations,
                     # which the regularizer refuses, mean the parameters diverged.
-                    hiddens = _forward(model, xb_s)[0] + _forward(model, xb_t)[0]
+                    hiddens = _forward(model, np.vstack([xb_s, xb_t]))[0]
                     if all(np.isfinite(a).all() for a in hiddens):
                         raise
                     raise TrainingDiverged(

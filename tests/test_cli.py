@@ -301,6 +301,8 @@ class TestTrainAndSweep:
         [
             ("2,2.5", "--values: invalid literal for int() with base 10: '2.5'"),
             ("2,0", "n must be >= 1, got 0"),
+            ("2,2", "--values: 2 repeats the point 2"),
+            ("2,3,02", "--values: 02 repeats the point 2"),
         ],
     )
     def test_sweep_bad_value_exit_2_before_any_run(self, tmp_path, capsys, values, message):

@@ -19,10 +19,16 @@ from dwmd import (
     TrainingDiverged,
     central_moments,
     cmd,
+    cmd_with_gradient,
+    dwmd,
     dwmd_from_moments,
+    dwmd_gradient,
+    dwmd_with_gradient,
     mmd_rbf,
     raw_moments,
     robust_dim_means,
+    smd,
+    smd_gradient,
     train_uda,
     truncation_bound,
     weight_profile,
@@ -47,8 +53,17 @@ def pair(seed=3, m=40, d=3):
     return rng.normal(size=(m, d)), rng.normal(0.5, 1.0, size=(m, d))
 
 
-def profile():
-    return weight_profile(*pair())
+def profile(d=3):
+    return weight_profile(*pair(d=d))
+
+
+def frozen_step(frozen, regularizer="dwmd"):
+    """One objective_gradient step on a (3, 4, 2) net with frozen constants
+    for its matched layer, whose activations are 4 wide."""
+    s, t = pair()
+    model = nettrain.init_model(NetworkSpec((3, 4, 2), ("sigmoid",), (0,)))
+    cfg = TrainConfig(regularizer=regularizer, batch_size=40)
+    return nettrain.objective_gradient(model, s, np.zeros(40, int), t, cfg, {0: frozen})
 
 
 NAMED_ERRORS = [
@@ -86,6 +101,35 @@ NAMED_ERRORS = [
      lambda s, t: gen_gaussian_shift(50, 2, [0, 0], [1.0, np.nan], 1), "scale"),
     ("gen_gaussian_shift-scale-inf",
      lambda s, t: gen_gaussian_shift(50, 2, [0, 0], [np.inf, 1.0], 1), "scale"),
+    ("dwmd-profile-one-column", lambda s, t: dwmd(s, t, profile=profile(d=1)), "profile"),
+    ("smd-profile-four-columns", lambda s, t: smd(s, t, profile=profile(d=4)), "profile"),
+    ("dwmd_with_gradient-profile-str",
+     lambda s, t: dwmd_with_gradient(s, t, profile="x"), "profile"),
+    ("dwmd_gradient-profile-one-column",
+     lambda s, t: dwmd_gradient(s, t, profile=profile(d=1)), "profile"),
+    ("smd_gradient-profile-str", lambda s, t: smd_gradient(s, t, profile="x"), "profile"),
+    ("dwmd-config-dict", lambda s, t: dwmd(s, t, {"n": 3}), "config"),
+    ("smd-config-dict", lambda s, t: smd(s, t, {"n": 3}), "config"),
+    ("dwmd_with_gradient-config-dict",
+     lambda s, t: dwmd_with_gradient(s, t, {"n": 3}), "config"),
+    ("dwmd_gradient-config-dict", lambda s, t: dwmd_gradient(s, t, {"n": 3}), "config"),
+    ("smd_gradient-config-dict", lambda s, t: smd_gradient(s, t, {"n": 3}), "config"),
+    ("objective_gradient-frozen-profile-three-columns",
+     lambda s, t: frozen_step(profile(d=3)), "profile"),
+    ("objective_gradient-frozen-profile-str", lambda s, t: frozen_step("x", "smd"), "profile"),
+    ("objective_gradient-frozen-widths-three",
+     lambda s, t: frozen_step([1.0] * 3, "cmd"), "widths"),
+    ("TrainConfig-dwmd-dict", lambda s, t: TrainConfig(dwmd={"n": 3}), "dwmd"),
+    ("cmd_with_gradient-widths-zero",
+     lambda s, t: cmd_with_gradient(s, t, widths=np.zeros(3)), "widths"),
+    ("cmd_with_gradient-widths-nan",
+     lambda s, t: cmd_with_gradient(s, t, widths=[1.0, np.nan, 1.0]), "widths"),
+    ("cmd_with_gradient-widths-negative",
+     lambda s, t: cmd_with_gradient(s, t, widths=-np.ones(3)), "widths"),
+    ("cmd_with_gradient-widths-short",
+     lambda s, t: cmd_with_gradient(s, t, widths=np.ones(2)), "widths"),
+    ("cmd_with_gradient-widths-str",
+     lambda s, t: cmd_with_gradient(s, t, widths="1,1,1"), "widths"),
 ]
 
 
@@ -95,6 +139,24 @@ NAMED_ERRORS = [
 def test_bad_argument_is_a_value_error_naming_it(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call(*pair())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s, t: dwmd(s, t, profile=profile(d=1)),
+         "profile must be a WeightProfile of d = 3, got d = 1"),
+        (lambda s, t: frozen_step(profile(d=3)),
+         "profile must be a WeightProfile of d = 4, got d = 3"),
+        (lambda s, t: cmd_with_gradient(s, t, widths=[1.0, 0.0, 2.0]),
+         "widths must be a list of 3 finite numbers > 0, got [1.0, 0.0, 2.0]"),
+    ],
+    ids=["dwmd-profile", "objective_gradient-frozen-profile", "cmd_with_gradient-widths"],
+)
+def test_frozen_constants_must_fit_the_samples(call, message):
+    with pytest.raises(ValueError) as info:
+        call(*pair())
+    assert str(info.value) == message
 
 
 def test_unknown_c_policy_refused_by_weight_profile():

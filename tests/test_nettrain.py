@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dwmd.discrepancy import DwmdConfig
+from dwmd.discrepancy import (
+    DwmdConfig, cmd_with_gradient, dwmd_with_gradient, mmd_rbf_with_gradient,
+)
 from dwmd.nettrain import (
     NetworkSpec,
     TrainConfig,
@@ -27,6 +31,59 @@ def blob_task(seed=1, m=80, d=2):
     source = signs * [1.5, 0.0] + rng.normal(size=(m, d))
     target = signs * [1.5, 0.0] + rng.normal(size=(m, d)) + [0.5, 0.5]
     return source, labels, target, labels.copy()
+
+
+def reference_backward(model, x, hiddens, delta_out, external):
+    """Backpropagation over one domain's rows, as a loop; external maps a
+    hidden layer to the gradient added on its activations. Returns the
+    weight gradients followed by the bias gradients."""
+    spec = model.spec
+    grad_w, grad_b = [hiddens[-1].T @ delta_out], [delta_out.sum(axis=0)]
+    delta_a = delta_out @ model.weights[-1].T
+    for i in reversed(range(spec.n_hidden)):
+        if i in external:
+            delta_a = delta_a + external[i]
+        a = hiddens[i]
+        slope = a * (1.0 - a) if spec.activations[i] == "sigmoid" else (a > 0.0).astype(float)
+        delta_z = delta_a * slope
+        below = x if i == 0 else hiddens[i - 1]
+        grad_w.insert(0, below.T @ delta_z)
+        grad_b.insert(0, delta_z.sum(axis=0))
+        delta_a = delta_z @ model.weights[i].T
+    return grad_w + grad_b
+
+
+def reference_regularizer(cfg, a_s, a_t):
+    if cfg.regularizer in ("dwmd", "smd"):
+        report, g_s, g_t = dwmd_with_gradient(a_s, a_t, cfg.dwmd, uniform=cfg.regularizer == "smd")
+        return report.total, g_s, g_t
+    if cfg.regularizer == "cmd":
+        return cmd_with_gradient(a_s, a_t, cfg.cmd_order)
+    return mmd_rbf_with_gradient(a_s, a_t, cfg.mmd_bandwidth)
+
+
+def reference_step(model, x_s, y_s, x_t, cfg):
+    """One training step as two passes: the source rows forward and backward
+    with the cross-entropy and source regularizer gradients, the target rows
+    with the target regularizer gradients alone, the two gradients added.
+    Returns the loss, cross-entropy, regularizer values, the source pass's
+    own gradients and the summed gradients."""
+    hid_s, probs = forward(model, x_s)
+    hid_t, _ = forward(model, x_t)
+    m = x_s.shape[0]
+    ce = float(-np.mean(np.log(np.clip(probs[np.arange(m), y_s], 1e-300, None))))
+    delta_out = (probs - np.eye(probs.shape[1])[y_s]) / m
+    values, ext_s, ext_t = {}, {}, {}
+    for layer in model.spec.matched_layers:
+        values[layer], g_s, g_t = reference_regularizer(cfg, hid_s[layer], hid_t[layer])
+        ext_s[layer], ext_t[layer] = cfg.lam * g_s, cfg.lam * g_t
+    source_only = reference_backward(model, x_s, hid_s, delta_out, {})
+    source = reference_backward(model, x_s, hid_s, delta_out, ext_s)
+    zero_out = np.zeros((x_t.shape[0], probs.shape[1]))
+    target = reference_backward(model, x_t, hid_t, zero_out, ext_t)
+    grads = [g + h for g, h in zip(source, target)]
+    loss = ce + cfg.lam * sum(values.values())
+    return loss, ce, values, source_only, grads
 
 
 class TestSpecValidation:
@@ -124,6 +181,32 @@ class TestObjectiveGradient:
                 if abs(fd) > 1e-6:
                     worst = max(worst, abs(grad_w[i][idx] - fd) / abs(fd))
         assert worst < 1e-5
+
+    @pytest.mark.parametrize("m_t", [40, 25])
+    @pytest.mark.parametrize("regularizer", ["dwmd", "smd", "cmd", "mmd"])
+    def test_stacked_step_matches_two_passes(self, regularizer, m_t):
+        # One forward and one backward pass over the stacked source and
+        # target rows give the two-pass values bit for bit and the gradient
+        # up to the order of its row sums.
+        spec = tiny_spec(layer_sizes=(2, 6, 5, 3), activations=("relu", "sigmoid"),
+                         matched_layers=(0, 1))
+        model = init_model(spec, seed=4)
+        x_s, _, x_t, _ = blob_task(m=40)
+        y_s, x_t = np.arange(40) % 3, x_t[:m_t]
+        cfg = TrainConfig(regularizer=regularizer, lam=0.8, batch_size=40)
+        loss, ce, values, grad_w, grad_b = objective_gradient(model, x_s, y_s, x_t, cfg)
+        want_loss, want_ce, want_values, _, want = reference_step(model, x_s, y_s, x_t, cfg)
+        assert (loss, ce, values) == (want_loss, want_ce, want_values)
+        assert all(v > 0.0 for v in values.values())
+        for got, ref in zip(grad_w + grad_b, want):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+        unregularized = replace(cfg, lam=0.0)
+        _, ce, values, grad_w, grad_b = objective_gradient(model, x_s, y_s, x_t, unregularized)
+        _, want_ce, _, source_only, _ = reference_step(model, x_s, y_s, x_t, unregularized)
+        assert ce == want_ce and values == {0: 0.0, 1: 0.0}
+        for got, ref in zip(grad_w + grad_b, source_only):
+            np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("regularizer", ["dwmd", "smd"])
     def test_one_weight_profile_per_matched_layer(self, regularizer, monkeypatch):
