@@ -190,7 +190,6 @@ def _parse_vector(flag, text, d, default):
 
 
 def _cmd_gen(args):
-    os.makedirs(args.out, exist_ok=True)
     if args.task == "moons":
         source, y_s, target, y_t = harness.gen_moons(
             args.m, args.rotation, args.noise, args.seed
@@ -201,6 +200,7 @@ def _cmd_gen(args):
         source, y_s, target, y_t = harness.gen_gaussian_shift(
             args.m, args.d, offset, scale, args.seed
         )
+    os.makedirs(args.out, exist_ok=True)
     harness.save_csv(os.path.join(args.out, "source.csv"), source, y_s)
     harness.save_csv(os.path.join(args.out, "target.csv"), target, y_t)
     print(f"wrote {args.out}/source.csv and {args.out}/target.csv")
@@ -216,7 +216,7 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, OverflowError) as exc:
         print(f"dwmd: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

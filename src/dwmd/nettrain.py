@@ -92,7 +92,7 @@ class TrainConfig:
             _check_count(name, getattr(self, name))
         _check_seed(self.seed)
         _check("dwmd", self.dwmd, isinstance(self.dwmd, DwmdConfig), "a DwmdConfig")
-        ok = bw == "median" or (_is_real(bw) and 0.0 < bw < np.inf)
+        ok = (isinstance(bw, str) and bw == "median") or (_is_real(bw) and 0.0 < bw < np.inf)
         _check("mmd_bandwidth", bw, ok, "'median' or a finite number > 0")
         trims = self.lam > 0.0 and self.regularizer in ("dwmd", "smd")
         ok = not trims or self.batch_size >= MIN_TRIMMING_BATCH
@@ -111,29 +111,6 @@ class TrainedModel:
     weights: list
     biases: list
     history: dict
-
-
-def _activate(name, z):
-    if name == "sigmoid":
-        # exp overflow for very negative z saturates to the correct limit 0.
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-z))
-    return np.maximum(z, 0.0)
-
-
-def _activate_grad(name, a):
-    # Derivative expressed through the activation value, built in one array.
-    if name == "sigmoid":
-        slope = 1.0 - a
-        slope *= a
-        return slope
-    return (a > 0.0).astype(np.float64)
-
-
-def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def init_model(spec, seed=1):
@@ -158,13 +135,29 @@ def forward(model, batch):
 
 
 def _forward(model, x):
-    """forward on a float64 batch of the input width, which it does not check."""
+    """forward on a float64 batch of the input width, which it does not check.
+    Each layer is built in the array its matrix product returns."""
     hiddens = []
     a = x
     for i, name in enumerate(model.spec.activations):
-        a = _activate(name, a @ model.weights[i] + model.biases[i])
+        a = a @ model.weights[i]
+        a += model.biases[i]
+        if name == "sigmoid":
+            # 1 / (1 + exp(-z)); exp overflow for very negative z saturates
+            # to the correct limit 0.
+            np.negative(a, out=a)
+            with np.errstate(over="ignore"):
+                np.exp(a, out=a)
+            a += 1.0
+            np.divide(1.0, a, out=a)
+        else:
+            np.maximum(a, 0.0, out=a)
         hiddens.append(a)
-    probs = _softmax(a @ model.weights[-1] + model.biases[-1])
+    probs = a @ model.weights[-1]
+    probs += model.biases[-1]
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
     return hiddens, probs
 
 
@@ -198,7 +191,13 @@ def _backward(model, x, hiddens, delta_out, external):
             g_s, g_t = external[i]
             delta[: g_s.shape[0]] += g_s
             delta[g_s.shape[0] :] += g_t
-        delta *= _activate_grad(model.spec.activations[i], hiddens[i])
+        a = hiddens[i]
+        if model.spec.activations[i] == "sigmoid":
+            slope = 1.0 - a
+            slope *= a
+            delta *= slope
+        else:
+            delta *= a > 0.0
         below = x if i == 0 else hiddens[i - 1]
         grad_w[i] = below.T @ delta
         grad_b[i] = delta.sum(axis=0)
@@ -244,6 +243,22 @@ def objective_gradient(model, x_s, y_s, x_t, cfg, frozen_profiles=None):
     return loss, ce, reg_values, grad_w, grad_b
 
 
+def _check_labels(name, labels, rows, n_rows, n_classes):
+    """labels as an int64 vector. A ValueError that starts with name refuses
+    them unless they have an integer dtype (Python ints do; floats and bools
+    do not), one label for each of the n_rows rows, each in [0, n_classes)."""
+    y = np.asarray(labels)
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ValueError(f"{name} must be integers, got dtype {y.dtype}")
+    if y.shape != (n_rows,):
+        raise ValueError(f"{name} must be one integer per {rows} row")
+    if y.min() < 0 or y.max() >= n_classes:
+        raise ValueError(
+            f"{name} must lie in [0, {n_classes}), got range [{y.min()}, {y.max()}]"
+        )
+    return y.astype(np.int64, copy=False)
+
+
 def _batch_order(rng, m, batch_size, n_steps):
     """Shuffled indices cycled to cover n_steps batches."""
     idx = rng.permutation(m)
@@ -263,13 +278,10 @@ def train_uda(source, source_labels, target, spec, cfg, target_labels=None):
     """
     x_s = validate_samples(source, "source")
     x_t = validate_samples(target, "target")
-    y_s = np.asarray(source_labels, dtype=np.int64)
-    if y_s.shape != (x_s.shape[0],):
-        raise ValueError("source labels must be one integer per source row")
-    if y_s.min() < 0 or y_s.max() >= spec.n_classes:
-        raise ValueError(
-            f"source labels must lie in [0, {spec.n_classes}), got range "
-            f"[{y_s.min()}, {y_s.max()}]"
+    y_s = _check_labels("source labels", source_labels, "source", x_s.shape[0], spec.n_classes)
+    if target_labels is not None:
+        target_labels = _check_labels(
+            "target labels", target_labels, "target", x_t.shape[0], spec.n_classes
         )
     if x_s.shape[1] != spec.layer_sizes[0] or x_t.shape[1] != spec.layer_sizes[0]:
         raise ValueError("domain width does not match the network input width")
@@ -342,7 +354,5 @@ def evaluate(model, samples, labels):
     """Fraction of argmax predictions matching the labels (ties broken
     toward the lowest class index)."""
     _, probs = forward(model, samples)
-    y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (probs.shape[0],):
-        raise ValueError("labels must be one integer per sample row")
+    y = _check_labels("labels", labels, "sample", probs.shape[0], model.spec.n_classes)
     return float(np.mean(np.argmax(probs, axis=1) == y))

@@ -242,6 +242,16 @@ class TestGen:
         assert code == 2
         assert "expected 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args", [["--task", "gaussian_shift", "--d", "0"], ["--m", "-4"],
+                 ["--task", "gaussian_shift", "--m", "1"]]
+    )
+    def test_bad_arguments_exit_2_before_the_directory_is_made(self, tmp_path, capsys, args):
+        out = tmp_path / "d"
+        assert main(["gen", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("dwmd: error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--offset", "--scale"])
     def test_unparsable_vector_exit_2_names_the_flag(self, tmp_path, capsys, flag):
         out = str(tmp_path / "d")
@@ -476,3 +486,25 @@ def test_discrepancy_bad_bandwidth_exit_2(one_dim_pair, capsys):
     )
     assert code == 2
     assert "bandwidth must be 'median' or a finite number > 0, got 'abc'" in capsys.readouterr().err
+
+
+def test_label_past_int64_exit_2(tmp_path, capsys):
+    # load_csv raises the OverflowError int64 conversion raises, as the cell
+    # loop it mirrors does; the command line reports it as a runtime error.
+    source, target = tmp_path / "s.csv", tmp_path / "t.csv"
+    source.write_text(f"f0,label\n0.5,0\n1.5,{2**63}\n")
+    target.write_text("f0,label\n0.5,0\n1.5,1\n")
+    exp = UdaExperiment(
+        task={"kind": "csv", "source_path": str(source), "target_path": str(target)},
+        spec=NetworkSpec((1, 4, 2), ("sigmoid",), (0,)),
+        cfg=TrainConfig(regularizer="none", epochs=1, batch_size=2),
+        repeats=1,
+        outputs=str(tmp_path / "report"),
+    )
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps(experiment_to_dict(exp)))
+    discrepancy = ["discrepancy", "--source", str(source), "--target", str(target)]
+    for argv in (discrepancy + ["--label-column", "label"], ["train", "--config", str(config)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dwmd: error: ") and "too large" in err

@@ -24,6 +24,7 @@ from dwmd import (
     dwmd_from_moments,
     dwmd_gradient,
     dwmd_with_gradient,
+    evaluate,
     mmd_rbf,
     raw_moments,
     robust_dim_means,
@@ -64,6 +65,20 @@ def frozen_step(frozen, regularizer="dwmd"):
     model = nettrain.init_model(NetworkSpec((3, 4, 2), ("sigmoid",), (0,)))
     cfg = TrainConfig(regularizer=regularizer, batch_size=40)
     return nettrain.objective_gradient(model, s, np.zeros(40, int), t, cfg, {0: frozen})
+
+
+def blob_run(y_s=None, y_t=None):
+    """One epoch of train_uda on blobs(), with y_s and y_t, where given, in
+    place of the blob labels."""
+    source, labels, target, _ = blobs()
+    spec, cfg = NetworkSpec((2, 4, 2), ("relu",), (0,)), TrainConfig(epochs=1, batch_size=40)
+    y_s = labels if y_s is None else y_s
+    return train_uda(source, y_s, target, spec, cfg, target_labels=y_t)
+
+
+def blob_accuracy(labels):
+    model = nettrain.init_model(NetworkSpec((2, 4, 2), ("relu",), (0,)))
+    return evaluate(model, blobs()[0], labels)
 
 
 NAMED_ERRORS = [
@@ -130,6 +145,19 @@ NAMED_ERRORS = [
      lambda s, t: cmd_with_gradient(s, t, widths=np.ones(2)), "widths"),
     ("cmd_with_gradient-widths-str",
      lambda s, t: cmd_with_gradient(s, t, widths="1,1,1"), "widths"),
+    ("TrainConfig-mmd_bandwidth-array",
+     lambda s, t: TrainConfig(regularizer="mmd", mmd_bandwidth=np.array([1.0, 2.0])),
+     "mmd_bandwidth"),
+    ("train_uda-source_labels-float",
+     lambda s, t: blob_run(y_s=blobs()[1] + 0.6), "source labels"),
+    ("train_uda-source_labels-bool",
+     lambda s, t: blob_run(y_s=blobs()[1].astype(bool)), "source labels"),
+    ("train_uda-target_labels-nan",
+     lambda s, t: blob_run(y_t=np.full(80, np.nan)), "target labels"),
+    ("train_uda-target_labels-short",
+     lambda s, t: blob_run(y_t=blobs()[1][:-1]), "target labels"),
+    ("evaluate-labels-float", lambda s, t: blob_accuracy(blobs()[1] + 0.6), "labels"),
+    ("evaluate-labels-object", lambda s, t: blob_accuracy([0] * 79 + [2**70]), "labels"),
 ]
 
 
@@ -236,6 +264,47 @@ def test_a_regularizer_value_error_on_finite_activations_propagates(monkeypatch)
     cfg = TrainConfig(regularizer="cmd", epochs=1, batch_size=40)
     with pytest.raises(ValueError, match="^regularizer bug$"):
         train_uda(source, labels, target, NetworkSpec((2, 4, 2), ("relu",), (0,)), cfg)
+
+
+@pytest.mark.parametrize("shift, got", [(-1, "[-1, 0]"), (2, "[2, 3]")])
+@pytest.mark.parametrize(
+    "call, name",
+    [(lambda y: blob_run(y_s=y), "source labels"), (lambda y: blob_run(y_t=y), "target labels"),
+     (blob_accuracy, "labels")],
+    ids=["train_uda-source", "train_uda-target", "evaluate"],
+)
+def test_labels_lie_in_the_class_range(call, name, shift, got):
+    message = f"{name} must lie in [0, 2), got range {got}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(blobs()[1] + shift)
+
+
+def test_labels_past_int64_are_out_of_range():
+    labels = np.array([0] * 79 + [2**63], dtype=np.uint64)
+    message = f"labels must lie in [0, 2), got range [0, {2**63}]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        blob_accuracy(labels)
+
+
+def test_target_labels_are_checked_before_the_first_step(monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(nettrain, "objective_gradient", no_step)
+    with pytest.raises(ValueError, match="^target labels must lie in"):
+        blob_run(y_t=blobs()[1] + 2)
+
+
+@pytest.mark.parametrize(
+    "given", [lambda y: y.tolist(), lambda y: y.astype(np.uint8)], ids=["list", "uint8"]
+)
+def test_any_integer_labels_train_alike(given):
+    labels = blobs()[1]
+    want, got = blob_run(y_t=labels), blob_run(given(labels), given(labels))
+    for a, b in zip(want.weights + want.biases, got.weights + got.biases):
+        np.testing.assert_array_equal(a, b)
+    assert got.history == want.history
+    assert blob_accuracy(given(labels)) == blob_accuracy(labels)
 
 
 def test_label_count_must_match_the_rows():

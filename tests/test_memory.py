@@ -1,5 +1,5 @@
-"""Allocation peaks of the weight profile, the gradient kernels and the
-CSV reader, measured with tracemalloc.
+"""Allocation peaks of the weight profile, the gradient kernels, the
+network passes and the CSV reader, measured with tracemalloc.
 
 numpy reports its array buffers to tracemalloc, so the peak above the
 traced memory at entry counts every array a call builds, its outputs
@@ -14,6 +14,7 @@ import pytest
 from dwmd.discrepancy import cmd_with_gradient, dwmd_gradient, mmd_rbf_with_gradient
 from dwmd.harness import load_csv, save_csv
 from dwmd.moments import raw_moments
+from dwmd.nettrain import NetworkSpec, evaluate, init_model
 from dwmd.weighting import weight_profile
 
 
@@ -108,3 +109,13 @@ def test_load_csv_peak_on_a_small_labelled_file(tmp_path):
     save_csv(path, rng.normal(size=(1000, 2)), rng.integers(0, 2, 1000))
     peak = peak_bytes(lambda: load_csv(path, "label"))
     assert peak < 0.2e6
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "relu"])
+def test_network_pass_holds_one_array_per_layer(activation):
+    rng = np.random.default_rng(14)
+    model = init_model(NetworkSpec((2, 64, 2), (activation,), (0,)))
+    x, y = rng.normal(size=(1000, 2)), rng.integers(0, 2, 1000)
+    hidden_layer = 8 * 1000 * 64
+    peak = peak_bytes(lambda: evaluate(model, x, y))
+    assert peak < 1.5 * hidden_layer

@@ -53,6 +53,19 @@ def reference_backward(model, x, hiddens, delta_out, external):
     return grad_w + grad_b
 
 
+def reference_forward(model, x):
+    """The forward pass as whole-array expressions, each step a fresh array."""
+    hiddens, a = [], x
+    for i, name in enumerate(model.spec.activations):
+        z = a @ model.weights[i] + model.biases[i]
+        with np.errstate(over="ignore"):
+            a = 1.0 / (1.0 + np.exp(-z)) if name == "sigmoid" else np.maximum(z, 0.0)
+        hiddens.append(a)
+    z = a @ model.weights[-1] + model.biases[-1]
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return hiddens, e / e.sum(axis=1, keepdims=True)
+
+
 def reference_regularizer(cfg, a_s, a_t):
     if cfg.regularizer in ("dwmd", "smd"):
         report, g_s, g_t = dwmd_with_gradient(a_s, a_t, cfg.dwmd, uniform=cfg.regularizer == "smd")
@@ -131,6 +144,26 @@ class TestForward:
         model = init_model(tiny_spec())
         with pytest.raises(ValueError, match="width"):
             forward(model, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("activations", [("relu", "sigmoid"), ("sigmoid", "relu")])
+    def test_bit_equal_to_whole_array_expressions(self, activations):
+        # Each layer is scaled so that its pre-activations reach +-800, where
+        # exp overflows; no warning may escape forward or evaluate, which run
+        # outside the training step's errstate.
+        model = init_model(tiny_spec(layer_sizes=(2, 12, 8, 3), activations=activations), seed=4)
+        x = np.random.default_rng(5).normal(size=(200, 2))
+        for i, w in enumerate(model.weights):
+            below = x if i == 0 else reference_forward(model, x)[0][i - 1]
+            w *= 800.0 / np.abs(below @ w).max()
+        want_hiddens, want_probs = reference_forward(model, x)
+        sigmoid = activations.index("sigmoid")
+        assert (want_hiddens[sigmoid] == 0.0).any() and (want_hiddens[sigmoid] == 1.0).any()
+        hiddens, probs = forward(model, x)
+        for got, want in zip(hiddens + [probs], want_hiddens + [want_probs]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        labels = np.arange(200) % 3
+        assert evaluate(model, x, labels) == np.mean(want_probs.argmax(axis=1) == labels)
 
 
 class TestObjectiveGradient:
