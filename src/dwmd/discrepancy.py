@@ -24,8 +24,12 @@ more than BLOCK_ROWS rows and the process may run on two CPUs (moments._both);
 CMD's two gradient sides stay one after the other, so one block of centred
 rows exists at a time. The MMD value
 and gradient are accumulated over blocks of rows of the pooled kernel matrix,
-at most BLOCK_ENTRIES entries each, so the (m_s + m_t)^2 matrix never exists;
-its median bandwidth is taken over at most MEDIAN_ROWS pooled rows.
+at most BLOCK_ENTRIES entries each, so the (m_s + m_t)^2 matrix never exists.
+Its median bandwidth is taken over the pairs i < j of at most MEDIAN_ROWS
+pooled rows, from the same squared-distance row blocks: a pool that fits one
+kernel block gathers that block's pairs and then exponentiates the block as
+the kernel; a larger pool selects the median exactly by counting its pairs'
+leading bits, one block of MEDIAN_BLOCK_ENTRIES at a time.
 """
 
 from dataclasses import dataclass, replace
@@ -63,8 +67,11 @@ CMD_WIDTH_FLOOR = 1e-12
 # Entries of the largest block of MMD kernel rows held at once (8 MB).
 BLOCK_ENTRIES = 2**20
 # Pooled rows the MMD median heuristic runs on; above this a seeded subset
-# is used, so its squared-distance matrix never exceeds 8 * MEDIAN_ROWS^2 bytes.
+# is used, so its selection runs over at most MEDIAN_ROWS^2 / 2 pairs.
 MEDIAN_ROWS = 2048
+# Entries of a block of squared distances in the counting selection of the
+# median (1 MB), well below one kernel block.
+MEDIAN_BLOCK_ENTRIES = BLOCK_ENTRIES // 8
 
 
 @dataclass(frozen=True)
@@ -171,8 +178,10 @@ def _series(s, t, config=None, frozen=None, uniform=False, with_gradient=False):
     uniform replaces the normalized weight vector by its component average
     (SMD). Returns the report, or (report, grad_source, grad_target) when
     with_gradient is set; the gradient holds the weight profile and the
-    pooled standardization statistics constant, since the trimming estimator
-    is piecewise constant in the samples.
+    pooled standardization statistics constant by design. It is not the
+    gradient of the data-dependent total: a trimmed mean is linear in the
+    entries it keeps, so the profile has a gradient of its own, which is
+    left out.
     """
     ok = config is None or isinstance(config, DwmdConfig)
     _check("config", config, ok, "a DwmdConfig or None")
@@ -387,19 +396,77 @@ def median_heuristic_bandwidth(sq):
     for start in range(0, m, step):
         rows = sq[start : start + step]
         np.copyto(rows, -np.inf, where=np.tri(rows.shape[0], m, start, dtype=bool))
-    med = float(np.sqrt(_median_in_place(sq.reshape(-1), skip=m * (m + 1) // 2)))
+    return _bandwidth(_median_in_place(sq.reshape(-1), skip=m * (m + 1) // 2))
+
+
+def _bandwidth(median_sq):
+    """The median distance from the median squared distance, or 1.0 when it
+    is 0 (all points coincide)."""
+    med = float(np.sqrt(median_sq))
     return med if med > 0.0 else 1.0
 
 
-def _median_bandwidth(x):
-    """The median heuristic on the pooled rows x: over every pair when x has
-    at most MEDIAN_ROWS rows, else over the pairs of MEDIAN_ROWS rows drawn
-    without replacement by default_rng(0) and kept in row order."""
+def _pair_median(sq):
+    """The median heuristic on one pooled squared-distance matrix, from its
+    pairs i < j gathered into one m(m-1)/2 buffer; sq is left as it is."""
+    return _bandwidth(_median_in_place(sq[~np.tri(sq.shape[0], dtype=bool)]))
+
+
+def _pair_blocks(x, norms):
+    """Each block of rows of the pooled rows x, at most MEDIAN_BLOCK_ENTRIES
+    entries, as (its squared distances to every row, the mask of its pairs
+    i < j). The last row has no pairs and is left out, so no block has one
+    row (a one-row product goes through gemv, whose sums may differ from the
+    whole product's)."""
+    m = x.shape[0]
+    step = MEDIAN_BLOCK_ENTRIES // m
+    for start in range(0, m - 1, step):
+        sq = _sq_dists(x, slice(start, start + step), norms)
+        yield sq, ~np.tri(sq.shape[0], m, start, dtype=bool)
+
+
+def _median_bandwidth(x, norms=None):
+    """The median heuristic on the pooled rows x, whose squared row norms
+    norms are computed unless passed: over every pair i < j when x has at
+    most MEDIAN_ROWS rows, else over the pairs of MEDIAN_ROWS rows drawn
+    without replacement by default_rng(0) and kept in row order.
+
+    Rows that fit one kernel block gather their pairs from one matrix
+    (_pair_median). More rows select the median exactly without holding
+    the pairs: nonnegative float64 values order as their bit patterns, so
+    one pass over the row blocks counts the pairs by their top 16 bits, and
+    a second keeps only the pairs in the buckets that hold the two middle
+    ranks, among which one partition finds them.
+    """
     if x.shape[0] > MEDIAN_ROWS:
         rows = np.random.default_rng(0).choice(x.shape[0], MEDIAN_ROWS, replace=False)
         rows.sort()
-        x = x[rows]
-    return median_heuristic_bandwidth(_sq_dists(x))
+        x, norms = x[rows], None
+    if norms is None:
+        norms = np.einsum("ij,ij->i", x, x)
+    m = x.shape[0]
+    if m * m <= BLOCK_ENTRIES:
+        return _pair_median(_sq_dists(x, norms=norms))
+    counts = np.zeros(1 << 16, dtype=np.int64)
+    for sq, pairs in _pair_blocks(x, norms):
+        top = sq.view(np.uint64)[pairs]
+        top >>= 48
+        counts += np.bincount(top.view(np.int64), minlength=1 << 16)
+    n = m * (m - 1) // 2
+    ends = np.cumsum(counts)
+    low, high = (int(b) for b in np.searchsorted(ends, [(n - 1) // 2, n // 2], side="right"))
+    kept = []
+    for sq, pairs in _pair_blocks(x, norms):
+        bits = sq.view(np.uint64)
+        pairs &= bits >= low << 48
+        pairs &= bits < (high + 1) << 48
+        kept.append(sq[pairs])
+    kept = np.concatenate(kept)
+    # The upper middle value, and for an even count the lower one below it,
+    # averaged as np.median averages them.
+    k = n // 2 - int(ends[low] - counts[low])
+    kept.partition(k)
+    return _bandwidth(kept[k] if n % 2 else (kept[:k].max() + kept[k]) / 2)
 
 
 def _fixed_bandwidth(bandwidth):
@@ -430,8 +497,13 @@ def mmd_rbf_with_gradient(source, target, bandwidth="median"):
     sigma = _fixed_bandwidth(bandwidth)
     m_s, m_t = s.shape[0], t.shape[0]
     x = np.vstack([s, t])
+    norms = np.einsum("ij,ij->i", x, x)
+    step = max(1, BLOCK_ENTRIES // x.shape[0])
+    # A pool that fits one kernel block builds it once, for the median and
+    # the kernel alike.
+    kernel = _sq_dists(x, norms=norms) if step >= x.shape[0] else None
     if sigma is None:
-        sigma = _median_bandwidth(x)
+        sigma = _median_bandwidth(x, norms) if kernel is None else _pair_median(kernel)
     # Over the pooled rows X with signed weights w (1/m_s source, -1/m_t
     # target) the value is w^T K w; since d k(x, y)/dx = -(x - y)/sigma^2
     # k(x, y), the gradient is -(2/sigma^2) w * ((K w) * X - K (w * X)).
@@ -439,18 +511,17 @@ def mmd_rbf_with_gradient(source, target, bandwidth="median"):
     # rebuilt from the pooled rows and their norms.
     w = np.concatenate([np.full(m_s, 1.0 / m_s), np.full(m_t, -1.0 / m_t)])
     wx = w[:, None] * x
-    norms = np.einsum("ij,ij->i", x, x)
     kw = np.empty_like(w)
     kwx = np.empty_like(x)
-    step = max(1, BLOCK_ENTRIES // x.shape[0])
     for start in range(0, x.shape[0], step):
         rows = slice(start, start + step)
-        kernel = _sq_dists(x, rows, norms)
+        if kernel is None:
+            kernel = _sq_dists(x, rows, norms)
         kernel *= -1.0 / (2.0 * sigma * sigma)
         np.exp(kernel, out=kernel)
         kw[rows] = kernel @ w
         kwx[rows] = kernel @ wx
-        del kernel  # so the next block is not built beside this one
+        kernel = None  # so the next block is not built beside this one
     value = max(float(w @ kw), 0.0)
     grad = kw[:, None] * x
     grad -= kwx

@@ -165,15 +165,17 @@ def _regularizer_terms(cfg, a_s, a_t, frozen=None):
     """Value and activation gradients of the chosen regularizer on one
     matched layer's source/target activations, from one call. frozen pins
     the data-derived constants instead of recomputing them from the batch:
-    a WeightProfile for dwmd/smd, a width vector for cmd; gradient-checking
-    tests rely on this."""
+    a WeightProfile for dwmd/smd, a width vector for cmd, a bandwidth for
+    mmd (in place of cfg.mmd_bandwidth); gradient-checking tests rely on
+    this."""
     if cfg.regularizer in ("dwmd", "smd"):
         uniform = cfg.regularizer == "smd"
         report, g_s, g_t = disc._series(a_s, a_t, cfg.dwmd, frozen, uniform, with_gradient=True)
         return report.total, g_s, g_t
     if cfg.regularizer == "cmd":
         return disc.cmd_with_gradient(a_s, a_t, cfg.cmd_order, widths=frozen)
-    return disc.mmd_rbf_with_gradient(a_s, a_t, cfg.mmd_bandwidth)
+    bandwidth = cfg.mmd_bandwidth if frozen is None else frozen
+    return disc.mmd_rbf_with_gradient(a_s, a_t, bandwidth)
 
 
 def _backward(model, x, hiddens, delta_out, external):
@@ -216,8 +218,8 @@ def objective_gradient(model, x_s, y_s, x_t, cfg, frozen_profiles=None):
     over the source rows. The weight profile inside the regularizer is
     recomputed from the batch activations and held constant (stop-gradient).
     frozen_profiles maps a matched layer to the constants to pin instead: a
-    WeightProfile for dwmd/smd, or a width vector for cmd. This is the form
-    finite-difference checks differentiate.
+    WeightProfile for dwmd/smd, a width vector for cmd, or a bandwidth for
+    mmd. This is the form finite-difference checks differentiate.
     """
     m_b = x_s.shape[0]
     regularized = cfg.lam > 0.0 and cfg.regularizer != "none"

@@ -378,6 +378,54 @@ class TestBlockMmd:
         assert np.array_equal(by_median[1], by_value[1])
         assert np.array_equal(by_median[2], by_value[2])
 
+    @staticmethod
+    def block_pairs(x):
+        """The pairs i < j of x as the median's row blocks hold them."""
+        from dwmd.discrepancy import MEDIAN_BLOCK_ENTRIES, _sq_dists
+
+        m = x.shape[0]
+        norms = np.einsum("ij,ij->i", x, x)
+        step = MEDIAN_BLOCK_ENTRIES // m
+        pairs = []
+        for start in range(0, m - 1, step):
+            sq = _sq_dists(x, slice(start, start + step), norms)
+            pairs.append(sq[~np.tri(sq.shape[0], m, start, dtype=bool)])
+        return np.concatenate(pairs)
+
+    def test_median_over_several_blocks_is_exact(self):
+        from dwmd.discrepancy import MEDIAN_ROWS, _median_bandwidth
+
+        rng = np.random.default_rng(53)
+        grid = rng.integers(-3, 4, size=(1200, 3)).astype(np.float64)
+        cases = {
+            "random, even pair count": rng.normal(size=(1100, 6)),
+            "random, odd pair count": rng.normal(size=(1103, 6)),
+            "ties, odd pair count": grid[:1538],
+            "ties, even pair count": grid,
+            "duplicated rows": np.vstack([grid[:300]] * 5)[:1401],
+            "wide": rng.gamma(2.0, 1.0, size=(1750, 40)),
+            "median rows": rng.normal(size=(MEDIAN_ROWS, 2)),
+        }
+        for name, x in cases.items():
+            pairs = self.block_pairs(x)
+            assert pairs.size == x.shape[0] * (x.shape[0] - 1) // 2, name
+            expected = float(np.sqrt(np.median(pairs)))
+            assert _median_bandwidth(x) == expected, name
+        assert _median_bandwidth(np.full((1300, 3), 2.5)) == 1.0
+
+    def test_one_block_median_and_kernel_share_their_matrix(self):
+        from dwmd.discrepancy import _sq_dists, median_heuristic_bandwidth
+
+        rng = np.random.default_rng(54)
+        for m_s, m_t in ((200, 200), (3, 2), (600, 424)):
+            s, t = rng.normal(size=(m_s, 5)), rng.normal(0.4, 1.1, (m_t, 5))
+            sigma = median_heuristic_bandwidth(_sq_dists(np.vstack([s, t])))
+            by_median = mmd_rbf_with_gradient(s, t, "median")
+            by_value = mmd_rbf_with_gradient(s, t, sigma)
+            assert by_median[0] == by_value[0]
+            assert np.array_equal(by_median[1], by_value[1])
+            assert np.array_equal(by_median[2], by_value[2])
+
     def test_subset_median_repeats_and_stays_close(self):
         from dwmd.discrepancy import _median_bandwidth, _sq_dists, mmd_rbf
 

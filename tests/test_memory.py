@@ -86,6 +86,14 @@ def test_median_bandwidth_masks_the_triangle_by_row_blocks():
     assert peak < sq.nbytes / 50  # an m x m bool mask is sq.nbytes / 8
 
 
+def test_median_bandwidth_holds_no_pooled_matrix():
+    from dwmd.discrepancy import MEDIAN_ROWS, _median_bandwidth
+
+    x = np.random.default_rng(15).normal(size=(MEDIAN_ROWS, 4))
+    peak = peak_bytes(lambda: _median_bandwidth(x))
+    assert peak < 0.25 * 8 * MEDIAN_ROWS**2
+
+
 def test_raw_moments_keep_one_scratch_array(moment_pair):
     s, _ = moment_pair
     peak = peak_bytes(lambda: raw_moments(s, 5))

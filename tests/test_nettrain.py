@@ -215,6 +215,28 @@ class TestObjectiveGradient:
                     worst = max(worst, abs(grad_w[i][idx] - fd) / abs(fd))
         assert worst < 1e-5
 
+    def test_frozen_mmd_bandwidth_is_used(self):
+        from dwmd.weighting import weight_profile
+
+        spec = tiny_spec(layer_sizes=(2, 6, 2))
+        model = init_model(spec, seed=5)
+        x_s, y_s, x_t, _ = blob_task(m=30)
+        frozen = objective_gradient(
+            model, x_s, y_s, x_t, TrainConfig(regularizer="mmd"), frozen_profiles={0: 0.5}
+        )
+        pinned = objective_gradient(
+            model, x_s, y_s, x_t, TrainConfig(regularizer="mmd", mmd_bandwidth=0.5)
+        )
+        assert frozen[0] == pinned[0] and frozen[2] == pinned[2]
+        for got, expected in zip(frozen[3] + frozen[4], pinned[3] + pinned[4]):
+            assert np.array_equal(got, expected)
+        hiddens, _ = forward(model, x_s)
+        profile = weight_profile(hiddens[0], hiddens[0], 0.1)
+        with pytest.raises(ValueError, match="bandwidth"):
+            objective_gradient(
+                model, x_s, y_s, x_t, TrainConfig(regularizer="mmd"), frozen_profiles={0: profile}
+            )
+
     @pytest.mark.parametrize("m_t", [40, 25])
     @pytest.mark.parametrize("regularizer", ["dwmd", "smd", "cmd", "mmd"])
     def test_stacked_step_matches_two_passes(self, regularizer, m_t):
