@@ -17,14 +17,15 @@ one (order, dimension) coefficient row per power, in the raw samples for the
 series and in the centred samples for CMD (each block of rows is centred as it
 is read, for the moments and the gradient alike, so no centred copy of a side
 exists). One helper, _power_series, evaluates them by Horner's rule, into one
-output array per sample matrix, one block of moments.BLOCK_ROWS rows at a
-time. The source and target sides of the series moments and gradient, and of
-the CMD ranges and central moments, run on two threads when both sides have
-more than BLOCK_ROWS rows and the process may run on two CPUs (moments._both);
-CMD's two gradient sides stay one after the other, so one block of centred
-rows exists at a time. The MMD value
-and gradient are accumulated over blocks of rows of the pooled kernel matrix,
-at most BLOCK_ENTRIES entries each, so the (m_s + m_t)^2 matrix never exists.
+output array per sample matrix, one block of BLOCK_ROWS // 2 rows at a time.
+The source and target sides of the series moments and gradient, and of the
+CMD ranges, central moments and gradient, run on two threads when both sides
+have more than BLOCK_ROWS rows and the process may run on two CPUs
+(moments._both); the half-height blocks keep CMD's centred rows to one
+BLOCK_ROWS block across both threads. cmd and mmd_rbf stop at the value and
+build no gradient. The MMD value and gradient are accumulated over blocks of
+rows of the pooled kernel matrix, at most BLOCK_ENTRIES entries each, so the
+(m_s + m_t)^2 matrix never exists.
 Its median bandwidth is taken over the pairs i < j of at most MEDIAN_ROWS
 pooled rows, from the same squared-distance row blocks: a pool that fits one
 kernel block gathers that block's pairs and then exponentiates the block as
@@ -37,8 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moments import (
-    _both, _central_moments, _check, _check_count, _check_real, _finite_vector,
-    _pooled_mean_scale, _power_means, _row_blocks, _validate_pair,
+    BLOCK_ROWS, _both, _central_moments, _check, _check_count, _check_real, _finite_vector,
+    _pooled_mean_scale, _power_means, _validate_pair,
 )
 from .weighting import WeightProfile, _check_alpha, _check_c, _median_in_place, weight_profile
 
@@ -235,12 +236,17 @@ def _series(s, t, config=None, frozen=None, uniform=False, with_gradient=False):
 def _power_series(x, coeff, shift=None):
     """Elementwise polynomial sum_k coeff[k] * (x - shift)^k for a (K, d)
     coefficient array (in x when shift is None), by Horner's rule in place,
-    one block of rows at a time, each centred as it is read. Both gradients
-    are evaluated here."""
+    one block of BLOCK_ROWS // 2 rows at a time, each centred as it is read.
+    Both gradients are evaluated here, and the two sides of each, CMD's
+    included, may run on two threads (see _both), so CMD's centred blocks
+    come to one BLOCK_ROWS block in all. Each entry is computed on its own,
+    so the block height does not change a bit, and every layout is walked
+    in blocks (the one-block rule of _row_blocks is for reductions)."""
     out = np.empty_like(x)
-    blocks = _row_blocks(x)
-    centred = None if shift is None else np.empty_like(x[blocks[0]])
-    for rows in blocks:
+    step = BLOCK_ROWS // 2
+    centred = None if shift is None else np.empty_like(x[:step])
+    for start in range(0, x.shape[0], step):
+        rows = slice(start, start + step)
         block = x[rows]
         if shift is not None:
             block = np.subtract(block, shift, out=centred[: block.shape[0]])
@@ -319,13 +325,19 @@ def cmd(source, target, k=5):
     to the moment order. The range stands in for the interval width the
     formula assumes; unbounded activations make it unstable by construction.
     """
-    return cmd_with_gradient(source, target, k)[0]
+    return _cmd(source, target, k)
 
 
 def cmd_with_gradient(source, target, k=5, widths=None):
     """CMD value and its gradient with respect to both sample matrices
     (widths held constant; pass widths, d finite numbers > 0, explicitly to
     freeze them across calls, e.g. for finite-difference checks)."""
+    return _cmd(source, target, k, widths, with_gradient=True)
+
+
+def _cmd(source, target, k, widths=None, with_gradient=False):
+    """The CMD kernel: the value, or (value, grad_source, grad_target) when
+    with_gradient is set."""
     s, t = _validate_pair(source, target)
     if widths is None:
         widths = _cmd_widths(s, t)
@@ -334,10 +346,9 @@ def cmd_with_gradient(source, target, k=5, widths=None):
         v = _finite_vector("widths", widths, d)
         _check("widths", widths, (v > 0.0).all(), f"a list of {d} finite numbers > 0")
         widths = v
+    rows = min(s.shape[0], t.shape[0])
     (cs, mu_s), (ct, mu_t) = _both(
-        lambda: _central_moments(s, k, "k"),
-        lambda: _central_moments(t, k, "k"),
-        min(s.shape[0], t.shape[0]),
+        lambda: _central_moments(s, k, "k"), lambda: _central_moments(t, k, "k"), rows
     )
     orders = np.arange(1, k + 1)[:, None]
     w_pow = widths**orders
@@ -346,6 +357,8 @@ def cmd_with_gradient(source, target, k=5, widths=None):
     total = 0.0
     for norm in norms.tolist():  # left to right on every Python version
         total += norm
+    if not with_gradient:
+        return total
     # d||v_o|| / dc_o, zero for an order whose gap vanishes.
     dnorm = np.divide(
         v, norms[:, None] * w_pow, out=np.zeros_like(v), where=norms[:, None] > 0.0
@@ -356,8 +369,11 @@ def cmd_with_gradient(source, target, k=5, widths=None):
     # ((x_i - mu)^(o-1) - c_(o-1)) with the centred c_1 = 0: each side's
     # gradient is a power series in the centred samples x - mu whose
     # constant row absorbs the c_(o-1) terms.
-    grad_s = _power_series(s, _cmd_coeff(dnorm, cs, orders / s.shape[0]), mu_s)
-    grad_t = _power_series(t, _cmd_coeff(dnorm, ct, orders / -t.shape[0]), mu_t)
+    grad_s, grad_t = _both(
+        lambda: _power_series(s, _cmd_coeff(dnorm, cs, orders / s.shape[0]), mu_s),
+        lambda: _power_series(t, _cmd_coeff(dnorm, ct, orders / -t.shape[0]), mu_t),
+        rows,
+    )
     return total, grad_s, grad_t
 
 
@@ -487,12 +503,18 @@ def mmd_rbf(source, target, bandwidth="median"):
     """Biased (V-statistic) Gaussian-kernel MMD: mean kernel within each
     domain minus twice the cross mean. Nonnegative in exact arithmetic; the
     computed value is clamped at 0 against rounding."""
-    return mmd_rbf_with_gradient(source, target, bandwidth)[0]
+    return _mmd_rbf(source, target, bandwidth)
 
 
 def mmd_rbf_with_gradient(source, target, bandwidth="median"):
     """MMD value and its gradient with respect to both sample matrices
     (bandwidth held constant)."""
+    return _mmd_rbf(source, target, bandwidth, with_gradient=True)
+
+
+def _mmd_rbf(source, target, bandwidth, with_gradient=False):
+    """The MMD kernel: the value, or (value, grad_source, grad_target) when
+    with_gradient is set."""
     s, t = _validate_pair(source, target)
     sigma = _fixed_bandwidth(bandwidth)
     m_s, m_t = s.shape[0], t.shape[0]
@@ -510,9 +532,9 @@ def mmd_rbf_with_gradient(source, target, bandwidth="median"):
     # K w and K (w * X) are accumulated over blocks of rows of K, each
     # rebuilt from the pooled rows and their norms.
     w = np.concatenate([np.full(m_s, 1.0 / m_s), np.full(m_t, -1.0 / m_t)])
-    wx = w[:, None] * x
     kw = np.empty_like(w)
-    kwx = np.empty_like(x)
+    if with_gradient:
+        wx, kwx = w[:, None] * x, np.empty_like(x)
     for start in range(0, x.shape[0], step):
         rows = slice(start, start + step)
         if kernel is None:
@@ -520,9 +542,12 @@ def mmd_rbf_with_gradient(source, target, bandwidth="median"):
         kernel *= -1.0 / (2.0 * sigma * sigma)
         np.exp(kernel, out=kernel)
         kw[rows] = kernel @ w
-        kwx[rows] = kernel @ wx
+        if with_gradient:
+            kwx[rows] = kernel @ wx
         kernel = None  # so the next block is not built beside this one
     value = max(float(w @ kw), 0.0)
+    if not with_gradient:
+        return value
     grad = kw[:, None] * x
     grad -= kwx
     grad *= (-2.0 / (sigma * sigma)) * w[:, None]

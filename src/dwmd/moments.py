@@ -37,9 +37,9 @@ __all__ = [
     "standardize_pooled",
 ]
 
-# Rows per block of the moment, power-series and trimming passes: a
-# 1024 x 64 float64 block is 512 KB, inside a 2 MiB L2 with room for a
-# second block beside it.
+# Rows per block of the moment and trimming passes (the power series takes
+# half as many, one half block per thread): a 1024 x 64 float64 block is
+# 512 KB, inside a 2 MiB L2 with room for a second block beside it.
 BLOCK_ROWS = 1024
 
 # CPUs this process may run on, read once at import (so `taskset -c 0`
@@ -173,7 +173,8 @@ def _both(first, second, rows):
 
 
 def _row_blocks(x):
-    """Row slices that cover x, for a pass that works one block at a time.
+    """Row slices that cover x, for a reduction that works one block at a
+    time (an elementwise pass may cut any layout into blocks).
 
     numpy reduces axis 0 of a C-contiguous matrix with d >= 2 row by row, so
     a column sum carried from one block of BLOCK_ROWS rows to the next keeps

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from dwmd.discrepancy import (
     DwmdConfig,
     cmd,
+    cmd_with_gradient,
     dwmd,
     dwmd_from_moments,
     mmd_rbf,
+    mmd_rbf_with_gradient,
     smd,
     truncation_bound,
 )
@@ -231,6 +233,32 @@ class TestMmd:
     def test_bad_bandwidth(self):
         with pytest.raises(ValueError):
             mmd_rbf(np.zeros((3, 1)), np.zeros((3, 1)), 0.0)
+
+
+class TestValueOnly:
+    """cmd and mmd_rbf build no gradient; their values are bit-equal to the
+    first output of the calls that do."""
+
+    @pytest.mark.parametrize(
+        "m_s, m_t, d", [(40, 40, 3), (700, 300, 5), (1500, 2500, 4), (3000, 5, 1)]
+    )
+    def test_cmd_is_the_value_of_cmd_with_gradient(self, m_s, m_t, d):
+        rng = np.random.default_rng(m_s + m_t + d)
+        s, t = rng.normal(size=(m_s, d)), rng.normal(0.3, 1.2, (m_t, d))
+        for k in (1, 2, 5):
+            assert cmd(s, t, k) == cmd_with_gradient(s, t, k)[0]
+
+    # Pools of 600 and 1024 rows fit one kernel block; 1120 and 1600 rows
+    # select the median over several blocks; 4000 rows take the median over
+    # a subset and the kernel over several blocks.
+    @pytest.mark.parametrize(
+        "m_s, m_t", [(300, 300), (1000, 24), (1100, 20), (700, 900), (1500, 2500)]
+    )
+    @pytest.mark.parametrize("bandwidth", ["median", 0.7])
+    def test_mmd_rbf_is_the_value_of_mmd_rbf_with_gradient(self, m_s, m_t, bandwidth):
+        rng = np.random.default_rng(m_s + m_t)
+        s, t = rng.normal(size=(m_s, 4)), rng.normal(0.5, 1.0, (m_t, 4))
+        assert mmd_rbf(s, t, bandwidth) == mmd_rbf_with_gradient(s, t, bandwidth)[0]
 
 
 class TestConfigValidation:

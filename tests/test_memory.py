@@ -11,7 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dwmd.discrepancy import cmd_with_gradient, dwmd_gradient, mmd_rbf_with_gradient
+from dwmd import moments
+from dwmd.discrepancy import cmd, cmd_with_gradient, dwmd_gradient, mmd_rbf_with_gradient
 from dwmd.harness import load_csv, save_csv
 from dwmd.moments import raw_moments
 from dwmd.nettrain import NetworkSpec, evaluate, init_model
@@ -59,6 +60,27 @@ def test_cmd_gradient_peak(moment_pair):
     s, t = moment_pair
     peak = peak_bytes(lambda: cmd_with_gradient(s, t, 5))
     assert peak < 2.75 * s.nbytes
+
+
+def test_cmd_gradient_holds_one_block_of_centred_rows_on_two_cpus(monkeypatch):
+    monkeypatch.setattr(moments, "_CPUS", 2)
+    rng = np.random.default_rng(16)
+    s, t = rng.normal(size=(20_000, 64)), rng.normal(0.3, 1.2, (20_000, 64))
+    peak = peak_bytes(lambda: cmd_with_gradient(s, t, 5))
+    # The two gradients, plus one BLOCK_ROWS block of centred rows (0.05x one
+    # side) shared by the two threads' half-height blocks.
+    assert peak < 2.1 * s.nbytes
+
+
+# On one CPU the value peaks at the central-moment pass of one side: two
+# blocks and a numpy ufunc buffer. On two the passes of both sides may
+# overlap. One side's gradient alone would be 1x.
+@pytest.mark.parametrize("cpus, limit", [(1, 0.75), (2, 1.5)])
+def test_cmd_builds_no_gradient(moment_pair, monkeypatch, cpus, limit):
+    monkeypatch.setattr(moments, "_CPUS", cpus)
+    s, t = moment_pair
+    peak = peak_bytes(lambda: cmd(s, t, 5))
+    assert peak < limit * s.nbytes
 
 
 @pytest.mark.parametrize("bandwidth, limit", [("median", 1.8), (1.0, 1.2)])

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dwmd import moments
+from dwmd import discrepancy, moments
 from dwmd.discrepancy import DwmdConfig, cmd_with_gradient, dwmd, dwmd_gradient, dwmd_with_gradient
 from dwmd.moments import BLOCK_ROWS, MomentOverflowError
 from dwmd.weighting import _trimmed_means, weight_profile
@@ -80,6 +80,21 @@ def test_second_runs_on_a_worker_only_above_one_block(cpus):
     assert same[0] == same[1]
     split = moments._both(threading.get_ident, threading.get_ident, BLOCK_ROWS + 1)
     assert (split[0] != split[1]) == (cpus == 2)
+
+
+def test_cmd_gradient_sides_run_on_two_threads(cpus, monkeypatch):
+    threads = []
+    power_series = discrepancy._power_series
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return power_series(*args)
+
+    monkeypatch.setattr(discrepancy, "_power_series", recorded)
+    x = sample(BLOCK_ROWS + 1, 3, "C")
+    cmd_with_gradient(x, x * 1.5 + 0.25)
+    assert len(threads) == 2
+    assert (threads[0] != threads[1]) == (cpus == 2)
 
 
 def overflowing_pair():
