@@ -22,7 +22,12 @@ The source and target sides of the series moments and gradient, and of the
 CMD ranges, central moments and gradient, run on two threads when both sides
 have more than BLOCK_ROWS rows and the process may run on two CPUs
 (moments._both); the half-height blocks keep CMD's centred rows to one
-BLOCK_ROWS block across both threads. cmd and mmd_rbf stop at the value and
+BLOCK_ROWS block across both threads. The raw moments of a short pair (one
+shape, at most BLOCK_ROWS rows, as in every training step) are reduced in one
+pass over its two sides side by side where numpy sums them row by row
+(moments._raw_moment_pair), and its profile is trimmed in one chunk loop; its
+gradient still runs one side after the other, so that the side-by-side copy
+is gone before the gradients are built. cmd and mmd_rbf stop at the value and
 build no gradient. The MMD value and gradient are accumulated over blocks of
 rows of the pooled kernel matrix, at most BLOCK_ENTRIES entries each, so the
 (m_s + m_t)^2 matrix never exists.
@@ -39,7 +44,7 @@ import numpy as np
 
 from .moments import (
     BLOCK_ROWS, _both, _central_moments, _check, _check_count, _check_real, _finite_vector,
-    _pooled_mean_scale, _power_means, _validate_pair,
+    _pooled_mean_scale, _raw_moment_pair, _validate_pair,
 )
 from .weighting import WeightProfile, _check_alpha, _check_c, _median_in_place, weight_profile
 
@@ -202,10 +207,7 @@ def _series(s, t, config=None, frozen=None, uniform=False, with_gradient=False):
         tau_c = float(profile.tau_normalized.mean())
         profile = replace(profile, tau_normalized=np.full(profile.d, tau_c))
 
-    rows = min(s.shape[0], t.shape[0])
-    moments_s, moments_t = _both(
-        lambda: _power_means(s, config.n, "raw"), lambda: _power_means(t, config.n, "raw"), rows
-    )
+    moments_s, moments_t = _raw_moment_pair(s, t, config.n)
     delta = moments_s - moments_t
     report, gap, powered, weights = _report(delta, profile, config)
     if not with_gradient:
@@ -228,7 +230,7 @@ def _series(s, t, config=None, frozen=None, uniform=False, with_gradient=False):
     grad_s, grad_t = _both(
         lambda: _power_series(s, coeff / s.shape[0]),
         lambda: _power_series(t, coeff / -t.shape[0]),
-        rows,
+        min(s.shape[0], t.shape[0]),
     )
     return report, grad_s, grad_t
 

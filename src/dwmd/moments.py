@@ -18,7 +18,12 @@ are subtracted, so _both runs the two sides of such a pair on two threads
 (numpy releases the interpreter lock in its array loops) when the input has
 more than BLOCK_ROWS rows and the process may run on two CPUs. No per-column
 computation changes with the thread, so the results are bit-identical either
-way.
+way. A short pair, two sides of one shape with at most BLOCK_ROWS rows (every
+regularized training step has one), runs on the calling thread, and its raw
+moments come from one pass over a copy of its two sides side by side when
+numpy sums each side row by row (C order, d >= 2): such a column sum keeps
+its bits beside other columns, and the pair pays numpy's per-call and
+per-row costs once. Its scratch is then one block of the 2d-wide copy.
 
 The package's argument checks are written here too, all on _check.
 """
@@ -172,25 +177,41 @@ def _both(first, second, rows):
     return result, later.result()
 
 
+def _short_pair(s, t):
+    """Whether s and t have one shape with at most BLOCK_ROWS rows: a pair
+    that _both runs inline, and whose two sides a kernel may then take in one
+    pass (every regularized training step pairs two equal batches)."""
+    return s.shape == t.shape and s.shape[0] <= BLOCK_ROWS
+
+
 def _row_blocks(x):
     """Row slices that cover x, for a reduction that works one block at a
     time (an elementwise pass may cut any layout into blocks).
 
-    numpy reduces axis 0 of a C-contiguous matrix with d >= 2 row by row, so
-    a column sum carried from one block of BLOCK_ROWS rows to the next keeps
-    its bits. Any other matrix (d = 1, F order, a strided view) may be summed
-    pairwise, by a rule that depends on m, and stays one block.
+    A column sum of a matrix numpy sums row by row (_sums_by_rows) keeps its
+    bits when carried from one block of BLOCK_ROWS rows to the next. Any
+    other matrix (d = 1, F order, a strided view) may be summed pairwise, by
+    a rule that depends on m, and stays one block.
     """
-    m, d = x.shape
-    if d < 2 or not x.flags.c_contiguous:
-        return [slice(0, m)]
-    return [slice(start, start + BLOCK_ROWS) for start in range(0, m, BLOCK_ROWS)]
+    if not _sums_by_rows(x):
+        return [slice(0, x.shape[0])]
+    return [slice(start, start + BLOCK_ROWS) for start in range(0, x.shape[0], BLOCK_ROWS)]
 
 
-def _power_means(x, n, what, shift=None, name="n"):
+def _sums_by_rows(x):
+    """Whether numpy reduces axis 0 of the matrix x row by row, adding each
+    row to the running column sums: x is C-contiguous with d >= 2. Such a
+    column sum keeps its bits however the rows are cut into blocks, and
+    whatever columns stand beside it in a wider C-contiguous matrix."""
+    return x.shape[1] >= 2 and x.flags.c_contiguous
+
+
+def _power_means(x, n, what, shift=None, name="n", sides=1):
     """Column means of (x - shift)^k for k = 1..n as an (n, d) array (of x^k
     when shift is None; n is called name if refused). A non-finite mean
-    raises MomentOverflowError naming the lowest such order.
+    raises MomentOverflowError naming the lowest such order. x may hold
+    sides equal-width matrices side by side; the error then names the first
+    side's lowest order and its own column, as one call per side would.
 
     Each block of rows is centred as it is read. Each order's column sums run
     on from block to block and all orders are divided by m once at the end.
@@ -211,12 +232,25 @@ def _power_means(x, n, what, shift=None, name="n"):
         _sum_block_powers(block, out, scratch, carry=i > 0)
     out /= x.shape[0]
     if not np.isfinite(out).all():
-        k, j = np.argwhere(~np.isfinite(out))[0]
+        bad = ~np.isfinite(out.reshape(n, sides, -1).swapaxes(0, 1))
+        _, k, j = np.argwhere(bad)[0]
         raise MomentOverflowError(
             f"non-finite {what} moment at order {k + 1}, dimension {j}; "
             "consider standardizing the inputs"
         )
     return out
+
+
+def _raw_moment_pair(s, t, n):
+    """The raw moments of orders 1..n of s and of t. A short pair whose sides
+    numpy sums row by row (_short_pair, _sums_by_rows) is reduced in one pass
+    over its two sides side by side, every column with the bits of its own
+    side's pass; any other pair runs one pass per side, through _both."""
+    if _short_pair(s, t) and _sums_by_rows(s) and _sums_by_rows(t):
+        both = _power_means(np.concatenate((s, t), axis=1), n, "raw", sides=2)
+        return both[:, : s.shape[1]], both[:, s.shape[1] :]
+    rows = min(s.shape[0], t.shape[0])
+    return _both(lambda: _power_means(s, n, "raw"), lambda: _power_means(t, n, "raw"), rows)
 
 
 def _sum_block_powers(block, out, scratch, carry):

@@ -16,8 +16,16 @@ distances tie. The columns are trimmed in chunks of about as many entries as
 BLOCK_ROWS rows (a batch of up to BLOCK_ROWS rows is one chunk), each
 gathered BLOCK_ROWS rows at a time into one contiguous row per dimension,
 where the median, distances, selections and masked sum run with one distance
-buffer of the same size. The two sides of a profile run as a pair
-(moments._both).
+buffer of the same size. The two sides of a short pair (one shape, at most
+BLOCK_ROWS rows: every regularized training step) are trimmed in one chunk
+loop whose chunks gather the same columns of both sides and share one side's
+budget of entries, so a training batch pair is one chunk; the sides of any
+other pair run as a pair through moments._both. Every row of a chunk is
+reduced on its own, so the means are bit-identical either way. numpy buffers
+a broadcast operand over rows of at most half its buffer size (4096 entries),
+up to a whole chunk of a training pair: the medians are then copied across
+the distance buffer, and the threshold is compared under a buffer of
+BLOCK_ROWS entries.
 """
 
 from dataclasses import dataclass
@@ -25,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import (
-    BLOCK_ROWS, _both, _check, _check_real, _is_real, _validate_pair, validate_samples,
+    BLOCK_ROWS, _both, _check, _check_real, _is_real, _short_pair, _validate_pair,
+    validate_samples,
 )
 
 __all__ = ["WeightProfile", "robust_dim_means", "weight_profile", "TAU_FLOOR", "C_FLOOR", "C_POLICIES"]
@@ -101,28 +110,35 @@ def _check_alpha(alpha):
 
 
 def _trimmed_means(x, alpha):
-    """robust_dim_means of an already validated float64 matrix."""
+    """robust_dim_means of an already validated float64 matrix x, or, for a
+    tuple x of equal-shape matrices (the sides of a pair), a tuple of one
+    mean vector per side from one chunk loop, whose chunks gather the same
+    columns of every side."""
+    if not isinstance(x, tuple):
+        return _trimmed_means((x,), alpha)[0]
     _check_alpha(alpha)
-    m, d = x.shape
+    m, d = x[0].shape
     n_drop = int(np.ceil(alpha * m))
     n_keep = m - n_drop
     if n_keep < 1:
         raise ValueError(f"trimming with alpha={alpha} would discard all {m} samples")
     if n_drop == 0:
-        return x.mean(axis=0)
-    # Columns per chunk: about as many entries as BLOCK_ROWS rows of x, and
-    # at least a cache line of 8 once d >= 32.
-    width = min(d, max(BLOCK_ROWS * d // m, min(8, d // 4), 1))
+        return tuple(side.mean(axis=0) for side in x)
+    # Columns per side and chunk: about as many entries in all as BLOCK_ROWS
+    # rows of one side, and at least a cache line of 8 once d >= 32.
+    width = min(d, max(BLOCK_ROWS * d // (len(x) * m), min(8, d // 4), 1))
     # One contiguous row per dimension: median and partition run along it.
-    chunk, dist = np.empty((width, m)), np.empty((width, m))
-    sums = np.empty(d)
+    chunk, dist = np.empty((2, len(x) * width, m))
+    sums = np.empty((len(x), d))
     for j in range(0, d, width):
-        cols = chunk[: min(width, d - j)]
-        for row in range(0, m, BLOCK_ROWS):
-            rows = slice(row, row + BLOCK_ROWS)
-            cols[:, rows] = x[rows, j : j + width].T
-        sums[j : j + width] = _kept_sums(cols, dist[: cols.shape[0]], n_keep)
-    return sums / n_keep
+        w = min(width, d - j)
+        cols = chunk[: len(x) * w]
+        for i, side in enumerate(x):
+            for row in range(0, m, BLOCK_ROWS):
+                rows = slice(row, row + BLOCK_ROWS)
+                cols[i * w : (i + 1) * w, rows] = side[rows, j : j + w].T
+        sums[:, j : j + w] = _kept_sums(cols, dist[: cols.shape[0]], n_keep).reshape(-1, w)
+    return tuple(sums / n_keep)
 
 
 def _kept_sums(cols, dist, n_keep):
@@ -131,7 +147,7 @@ def _kept_sums(cols, dist, n_keep):
     order; dist is a scratch array of the same shape."""
     np.copyto(dist, cols)
     med = _median_in_place(dist)[:, None]
-    np.abs(np.subtract(cols, med, out=dist), out=dist)
+    _distances(cols, med, dist)
     # The n_keep-th smallest distance, selected in place. The entries after
     # it are no smaller, so a row has more distances at the cut than places
     # left iff one of them equals it. Recomputing the distances afterwards
@@ -139,8 +155,14 @@ def _kept_sums(cols, dist, n_keep):
     dist.partition(n_keep - 1, axis=1)
     thr = dist[:, n_keep - 1 : n_keep].copy()
     surplus = np.flatnonzero(dist[:, n_keep:].min(axis=1) == thr[:, 0])
-    np.abs(np.subtract(cols, med, out=dist), out=dist)
-    keep = dist <= thr
+    _distances(cols, med, dist)
+    # thr is broadcast too, and dist holds no room to copy it across: compare
+    # under a buffer of BLOCK_ROWS entries (see _distances).
+    bufsize = np.setbufsize(BLOCK_ROWS)
+    try:
+        keep = dist <= thr
+    finally:
+        np.setbufsize(bufsize)
     if surplus.size:
         # Among distances equal to thr keep the earliest rows, as a stable
         # sort would.
@@ -149,6 +171,18 @@ def _kept_sums(cols, dist, n_keep):
         need = n_keep - np.count_nonzero(near < cut, axis=1)
         keep[surplus] &= ~tied | (np.cumsum(tied, axis=1) <= need[:, None])
     return cols.sum(axis=1, where=keep)
+
+
+def _distances(cols, med, dist):
+    """|cols - med| for a (w, 1) med, in dist. numpy buffers a broadcast
+    operand whose rows are at most half its buffer size long, up to a buffer
+    (8192 entries) the size of the whole operation, and runs slower so; med
+    is then copied across dist first. Longer rows take it as it is."""
+    if 2 * cols.shape[1] <= np.getbufsize():
+        np.copyto(dist, med)
+        med = dist
+    np.subtract(cols, med, out=dist)
+    np.abs(dist, out=dist)
 
 
 def _check_c(c_policy, c_value):
@@ -185,8 +219,11 @@ def weight_profile(source, target, alpha=0.1, c_policy="scalar", c_value=0.05):
     the normalized vector degenerates to all-ones (uniform weighting).
     """
     s, t = _validate_pair(source, target)
-    rows = min(s.shape[0], t.shape[0])
-    means = _both(lambda: _trimmed_means(s, alpha), lambda: _trimmed_means(t, alpha), rows)
+    if _short_pair(s, t):
+        means = _trimmed_means((s, t), alpha)
+    else:
+        rows = min(s.shape[0], t.shape[0])
+        means = _both(lambda: _trimmed_means(s, alpha), lambda: _trimmed_means(t, alpha), rows)
     tau = np.abs(means[0] - means[1])
     tau_max = float(tau.max())
     if tau_max > 0.0:

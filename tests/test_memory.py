@@ -56,6 +56,18 @@ def test_weight_profile_holds_no_copy_of_a_tall_side():
     assert peak < 0.75 * s.nbytes
 
 
+def test_a_short_pair_shares_one_sides_chunk_budget():
+    # One 1000 x 64 side fills the chunk budget of BLOCK_ROWS rows of one side
+    # by itself, so the pair is trimmed half its columns per side at a time:
+    # a chunk and a distance buffer of one side's size, as when the sides
+    # ran one after the other (2.26x). Chunks of both whole sides would
+    # peak at about 4.4x.
+    rng = np.random.default_rng(18)
+    s, t = rng.normal(size=(1000, 64)), rng.normal(0.3, 1.2, (1000, 64))
+    peak = peak_bytes(lambda: weight_profile(s, t, 0.1, "scalar", 0.05))
+    assert peak < 2.37 * s.nbytes
+
+
 def test_cmd_gradient_peak(moment_pair):
     s, t = moment_pair
     peak = peak_bytes(lambda: cmd_with_gradient(s, t, 5))
