@@ -46,7 +46,7 @@ from .moments import (
     BLOCK_ROWS, _both, _central_moments, _check, _check_count, _check_real, _finite_vector,
     _pooled_mean_scale, _raw_moment_pair, _validate_pair,
 )
-from .weighting import WeightProfile, _check_alpha, _check_c, _median_in_place, weight_profile
+from .weighting import WeightProfile, _check_alpha, _check_c, _median_in_place, _profile
 
 __all__ = [
     "DwmdConfig",
@@ -161,6 +161,7 @@ def truncation_bound(profile, psi, n):
     diverges and None is returned. A degenerate all-zero weight vector uses
     tau_max = 1 (the uniform profile it falls back to).
     """
+    _series_config(None, profile)
     _check_psi(psi)
     _check_count("n", n)
     return _tail_bound(profile, psi, n)
@@ -176,11 +177,26 @@ def _tail_bound(profile, psi, n):
     return float(ratio ** (n + 1) / (1.0 - ratio))
 
 
-def _series(s, t, config=None, frozen=None, uniform=False, with_gradient=False):
-    """The series kernel on two float64 (m, d) matrices with a common d, which
-    it does not check: check the config and a frozen profile, (optionally)
-    standardize the samples, build the weight profile unless a frozen one is
-    given (weight_profile checks the samples), and evaluate the report.
+def _series_config(config, profile, d=None):
+    """config, or DwmdConfig() for None, once config (a DwmdConfig or None)
+    and profile are checked: a WeightProfile, or, given the samples' d, a
+    frozen WeightProfile of that d or None."""
+    ok = config is None or isinstance(config, DwmdConfig)
+    _check("config", config, ok, "a DwmdConfig or None")
+    if d is None:
+        _check("profile", profile, isinstance(profile, WeightProfile), "a WeightProfile")
+    elif profile is not None:
+        _check("profile", profile, isinstance(profile, WeightProfile), "a WeightProfile or None")
+        what = f"a WeightProfile of d = {d}"
+        _check("profile", f"d = {profile.d}", profile.d == d, what, str)
+    return config or DwmdConfig()
+
+
+def _series(source, target, config=None, frozen=None, uniform=False, with_gradient=False):
+    """The series kernel behind every series call: check the two sample
+    matrices (once; no core below checks them again), the config and a
+    frozen profile, (optionally) standardize the samples, build the weight
+    profile unless a frozen one is given, and evaluate the report.
     uniform replaces the normalized weight vector by its component average
     (SMD). Returns the report, or (report, grad_source, grad_target) when
     with_gradient is set; the gradient holds the weight profile and the
@@ -189,20 +205,15 @@ def _series(s, t, config=None, frozen=None, uniform=False, with_gradient=False):
     entries it keeps, so the profile has a gradient of its own, which is
     left out.
     """
-    ok = config is None or isinstance(config, DwmdConfig)
-    _check("config", config, ok, "a DwmdConfig or None")
-    config = config or DwmdConfig()
-    if frozen is not None:
-        _check("profile", frozen, isinstance(frozen, WeightProfile), "a WeightProfile or None")
-        what = f"a WeightProfile of d = {s.shape[1]}"
-        _check("profile", f"d = {frozen.d}", frozen.d == s.shape[1], what, str)
+    s, t = _validate_pair(source, target)
+    config = _series_config(config, frozen, s.shape[1])
     if config.standardize:
         mu, scale = _pooled_mean_scale(s, t)
         s = (s - mu) / scale
         t = (t - mu) / scale
     profile = frozen
     if profile is None:
-        profile = weight_profile(s, t, config.alpha, config.c_policy, config.c_value)
+        profile = _profile(s, t, config.alpha, config.c_policy, config.c_value)
     if uniform:
         tau_c = float(profile.tau_normalized.mean())
         profile = replace(profile, tau_normalized=np.full(profile.d, tau_c))
@@ -267,24 +278,31 @@ def dwmd(source, target, config=None, profile=None):
     A caller-supplied profile freezes the weights instead of recomputing
     them from the data (the fixed-weight form the gradient differentiates).
     """
-    return _series(*_validate_pair(source, target), config, profile)
+    return _series(source, target, config, profile)
 
 
 def dwmd_from_moments(moments_source, moments_target, profile, config):
     """Series evaluation on caller-supplied moment sequences with frozen
-    weights. This is the fixed-weight form the metric axioms hold for."""
+    weights. This is the fixed-weight form the metric axioms hold for.
+    config is a DwmdConfig or None (the defaults); each moment array must
+    be a finite (n, d) array."""
+    config = _series_config(config, profile)
     a = np.asarray(moments_source, dtype=np.float64)
     b = np.asarray(moments_target, dtype=np.float64)
     shape = (config.n, profile.d)
     for name, m in (("moments_source", a), ("moments_target", b)):
         _check(name, m.shape, m.shape == shape, f"of shape (n, d) = {shape}", str)
+        if not np.isfinite(m).all():
+            k, j = np.argwhere(~np.isfinite(m))[0]
+            where = f"{m[k, j]} at order {k + 1}, dimension {j}"
+            raise ValueError(f"{name} must be finite, got {where}")
     return _report(a - b, profile, config)[0]
 
 
 def smd(source, target, config=None, profile=None):
     """Uniform-weight variant: the normalized weight vector is replaced by
     the constant vector holding its component average."""
-    return _series(*_validate_pair(source, target), config, profile, uniform=True)
+    return _series(source, target, config, profile, uniform=True)
 
 
 def dwmd_with_gradient(source, target, config=None, profile=None, uniform=False):
@@ -293,8 +311,7 @@ def dwmd_with_gradient(source, target, config=None, profile=None, uniform=False)
     weight profile and the moments are built once. The gradient holds the
     weight profile constant; uniform gives the uniform-weight variant (SMD).
     """
-    s, t = _validate_pair(source, target)
-    return _series(s, t, config, profile, uniform, with_gradient=True)
+    return _series(source, target, config, profile, uniform, with_gradient=True)
 
 
 def dwmd_gradient(source, target, config=None, profile=None):
@@ -341,6 +358,7 @@ def _cmd(source, target, k, widths=None, with_gradient=False):
     """The CMD kernel: the value, or (value, grad_source, grad_target) when
     with_gradient is set."""
     s, t = _validate_pair(source, target)
+    _check_count("k", k)
     if widths is None:
         widths = _cmd_widths(s, t)
     else:
@@ -350,7 +368,7 @@ def _cmd(source, target, k, widths=None, with_gradient=False):
         widths = v
     rows = min(s.shape[0], t.shape[0])
     (cs, mu_s), (ct, mu_t) = _both(
-        lambda: _central_moments(s, k, "k"), lambda: _central_moments(t, k, "k"), rows
+        lambda: _central_moments(s, k), lambda: _central_moments(t, k), rows
     )
     orders = np.arange(1, k + 1)[:, None]
     w_pow = widths**orders
@@ -408,6 +426,10 @@ def median_heuristic_bandwidth(sq):
     block of rows at a time so that the mask stays within BLOCK_ENTRIES / 8
     bytes, and the whole matrix is partitioned in place, so no copy of the
     pairs is made.
+
+    No kernel calls it (_median_bandwidth and _pair_median replaced it). It
+    stays as the tests' reference for the median over the pairs i < j, and
+    because the benchmark's tracer looks it up by name.
     """
     m = sq.shape[0]
     step = max(1, BLOCK_ENTRIES // (8 * m))

@@ -206,10 +206,10 @@ def _sums_by_rows(x):
     return x.shape[1] >= 2 and x.flags.c_contiguous
 
 
-def _power_means(x, n, what, shift=None, name="n", sides=1):
+def _power_means(x, n, what, shift=None, sides=1):
     """Column means of (x - shift)^k for k = 1..n as an (n, d) array (of x^k
-    when shift is None; n is called name if refused). A non-finite mean
-    raises MomentOverflowError naming the lowest such order. x may hold
+    when shift is None), for a checked order n. A non-finite mean raises
+    MomentOverflowError naming the lowest such order. x may hold
     sides equal-width matrices side by side; the error then names the first
     side's lowest order and its own column, as one call per side would.
 
@@ -219,7 +219,6 @@ def _power_means(x, n, what, shift=None, name="n", sides=1):
     to it. The scratch arrays follow the layout of x, so a one-block input is
     reduced in the order numpy reduces x itself.
     """
-    _check_count(name, n)
     out = np.empty((n, x.shape[1]), dtype=np.float64)
     blocks = _row_blocks(x)
     first = x[blocks[0]]
@@ -285,20 +284,24 @@ def raw_moments(samples, n):
     elementwise power. Deterministic; reordering the rows changes it only
     by rounding.
     """
-    return _power_means(validate_samples(samples), n, "raw")
+    x = validate_samples(samples)
+    _check_count("n", n)
+    return _power_means(x, n, "raw")
 
 
 def central_moments(samples, n):
     """Per-dimension central moments: row 0 is the column mean, row k-1 for
     k >= 2 is the mean of (x - mean)^k."""
-    return _central_moments(validate_samples(samples), n)[0]
+    x = validate_samples(samples)
+    _check_count("n", n)
+    return _central_moments(x, n)[0]
 
 
-def _central_moments(x, n, name="n"):
-    """central_moments of a validated float64 matrix (n called name if
-    refused), and the column mean it centres on, which CMD's gradient reuses."""
+def _central_moments(x, n):
+    """central_moments of a validated float64 matrix for a checked order n,
+    and the column mean it centres on, which CMD's gradient reuses."""
     mu = x.mean(axis=0)
-    out = _power_means(x, n, "central", mu, name)
+    out = _power_means(x, n, "central", mu)
     out[0] = mu
     return out, mu
 

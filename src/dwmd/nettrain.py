@@ -114,7 +114,10 @@ class TrainedModel:
 
 
 def init_model(spec, seed=1):
-    """Glorot-uniform weights, zero biases."""
+    """Glorot-uniform weights, zero biases, for a NetworkSpec and an integer
+    seed >= 0."""
+    _check("spec", spec, isinstance(spec, NetworkSpec), "a NetworkSpec")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
@@ -163,14 +166,14 @@ def _forward(model, x):
 
 def _regularizer_terms(cfg, a_s, a_t, frozen=None):
     """Value and activation gradients of the chosen regularizer on one
-    matched layer's source/target activations, from one call. frozen pins
-    the data-derived constants instead of recomputing them from the batch:
-    a WeightProfile for dwmd/smd, a width vector for cmd, a bandwidth for
-    mmd (in place of cfg.mmd_bandwidth); gradient-checking tests rely on
-    this."""
+    matched layer's source/target activations, from one call to its public
+    gradient function, which checks them and frozen. frozen pins the
+    data-derived constants instead of recomputing them from the batch: a
+    WeightProfile for dwmd/smd, a width vector for cmd, a bandwidth for mmd
+    (in place of cfg.mmd_bandwidth); gradient-checking tests rely on this."""
     if cfg.regularizer in ("dwmd", "smd"):
         uniform = cfg.regularizer == "smd"
-        report, g_s, g_t = disc._series(a_s, a_t, cfg.dwmd, frozen, uniform, with_gradient=True)
+        report, g_s, g_t = disc.dwmd_with_gradient(a_s, a_t, cfg.dwmd, frozen, uniform)
         return report.total, g_s, g_t
     if cfg.regularizer == "cmd":
         return disc.cmd_with_gradient(a_s, a_t, cfg.cmd_order, widths=frozen)
@@ -219,7 +222,10 @@ def objective_gradient(model, x_s, y_s, x_t, cfg, frozen_profiles=None):
     recomputed from the batch activations and held constant (stop-gradient).
     frozen_profiles maps a matched layer to the constants to pin instead: a
     WeightProfile for dwmd/smd, a width vector for cmd, or a bandwidth for
-    mmd. This is the form finite-difference checks differentiate.
+    mmd. This is the form finite-difference checks differentiate. Each
+    matched layer's activations are checked once, by the regularizer's public
+    gradient function, frozen constants or not: non-finite ones raise the
+    ValueError that names the side, row and column.
     """
     m_b = x_s.shape[0]
     regularized = cfg.lam > 0.0 and cfg.regularizer != "none"
@@ -278,6 +284,8 @@ def train_uda(source, source_labels, target, spec, cfg, target_labels=None):
     used for per-epoch evaluation only and never influence training.
     Deterministic given cfg.seed.
     """
+    _check("spec", spec, isinstance(spec, NetworkSpec), "a NetworkSpec")
+    _check("cfg", cfg, isinstance(cfg, TrainConfig), "a TrainConfig")
     x_s = validate_samples(source, "source")
     x_t = validate_samples(target, "target")
     y_s = _check_labels("source labels", source_labels, "source", x_s.shape[0], spec.n_classes)

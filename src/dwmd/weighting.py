@@ -101,7 +101,9 @@ def robust_dim_means(samples, alpha):
 
     alpha = 0 returns plain column means.
     """
-    return _trimmed_means(validate_samples(samples), alpha)
+    x = validate_samples(samples)
+    _check_alpha(alpha)
+    return _trimmed_means(x, alpha)
 
 
 def _check_alpha(alpha):
@@ -110,13 +112,12 @@ def _check_alpha(alpha):
 
 
 def _trimmed_means(x, alpha):
-    """robust_dim_means of an already validated float64 matrix x, or, for a
-    tuple x of equal-shape matrices (the sides of a pair), a tuple of one
-    mean vector per side from one chunk loop, whose chunks gather the same
-    columns of every side."""
+    """robust_dim_means of an already validated float64 matrix x and a
+    checked alpha, or, for a tuple x of equal-shape matrices (the sides of a
+    pair), a tuple of one mean vector per side from one chunk loop, whose
+    chunks gather the same columns of every side."""
     if not isinstance(x, tuple):
         return _trimmed_means((x,), alpha)[0]
-    _check_alpha(alpha)
     m, d = x[0].shape
     n_drop = int(np.ceil(alpha * m))
     n_keep = m - n_drop
@@ -198,13 +199,13 @@ def _check_c(c_policy, c_value):
 
 
 def resolve_c(tau, c_policy, c_value=None):
-    """Resolve the series constant C from the weight vector per policy.
+    """Resolve the series constant C from the weight vector per policy, for
+    C arguments _check_c has passed.
 
-    scalar:     the user-supplied constant (must be > 0).
+    scalar:     the user-supplied constant (> 0).
     tau_first:  the first component of tau, floored at C_FLOOR.
     tau_vector: tau elementwise, floored at C_FLOOR.
     """
-    _check_c(c_policy, c_value)
     if c_policy == "scalar":
         return float(c_value)
     if c_policy == "tau_first":
@@ -216,9 +217,18 @@ def weight_profile(source, target, alpha=0.1, c_policy="scalar", c_value=0.05):
     """Build the WeightProfile for a source/target pair.
 
     Symmetric in its two sample arguments. When all robust-mean gaps are zero
-    the normalized vector degenerates to all-ones (uniform weighting).
+    the normalized vector degenerates to all-ones (uniform weighting). The
+    series calls, whose samples and config are checked already, build their
+    profile with _profile instead.
     """
     s, t = _validate_pair(source, target)
+    _check_alpha(alpha)
+    _check_c(c_policy, c_value)
+    return _profile(s, t, alpha, c_policy, c_value)
+
+
+def _profile(s, t, alpha, c_policy, c_value):
+    """weight_profile of a validated pair for checked arguments."""
     if _short_pair(s, t):
         means = _trimmed_means((s, t), alpha)
     else:

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 import dwmd
-from dwmd import moments
+from dwmd import (
+    DwmdConfig, cmd, cmd_with_gradient, dwmd_gradient, dwmd_with_gradient, mmd_rbf,
+    mmd_rbf_with_gradient, moments, smd, smd_gradient, weight_profile,
+)
 from dwmd.nettrain import NetworkSpec, TrainConfig, init_model, objective_gradient, train_uda
 
 PACKAGE_DIR = pathlib.Path(dwmd.__file__).parent
@@ -83,6 +86,64 @@ class TestValidateOnce:
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError, match="non-finite entry"):
                 objective_gradient(model, x_s, y_s, x_t, TrainConfig(batch_size=40))
+
+
+SERIES_CALLS = {
+    "dwmd": dwmd.dwmd,
+    "smd": smd,
+    "dwmd_with_gradient": dwmd_with_gradient,
+    "dwmd_gradient": dwmd_gradient,
+    "smd_gradient": smd_gradient,
+}
+OTHER_CALLS = {
+    "cmd": cmd,
+    "cmd_with_gradient": cmd_with_gradient,
+    "mmd_rbf": mmd_rbf,
+    "mmd_rbf_with_gradient": mmd_rbf_with_gradient,
+    "weight_profile": weight_profile,
+}
+
+
+def sigmoid_pair(m=60, d=3):
+    rng = np.random.default_rng(5)
+    a = 1.0 / (1.0 + np.exp(-rng.normal(size=(2 * m, d))))
+    return a[:m], a[m:]
+
+
+class TestOneCheckPerMatrix:
+    @pytest.mark.parametrize("frozen", [False, True], ids=["profile-built", "profile-frozen"])
+    @pytest.mark.parametrize("config", [None, DwmdConfig(standardize=True)], ids=["default", "std"])
+    @pytest.mark.parametrize("name", SERIES_CALLS)
+    def test_series_calls(self, name, config, frozen, validation_calls):
+        s, t = sigmoid_pair()
+        profile = weight_profile(s, t) if frozen else None
+        validation_calls.clear()
+        SERIES_CALLS[name](s, t, config, profile)
+        assert [args[1:] for args in validation_calls] == [("source",), ("target",)]
+
+    @pytest.mark.parametrize("name", OTHER_CALLS)
+    def test_baselines_and_profile(self, name, validation_calls):
+        OTHER_CALLS[name](*sigmoid_pair())
+        assert [args[1:] for args in validation_calls] == [("source",), ("target",)]
+
+    @pytest.mark.parametrize("regularizer", ["dwmd", "smd", "cmd", "mmd"])
+    def test_frozen_step_stops_non_finite_activations(self, regularizer):
+        # The frozen constants skip the profile, widths or median, but not
+        # the check of the activations that the public call makes.
+        spec = NetworkSpec((2, 4, 2), ("relu",), matched_layers=(0,))
+        frozen = {
+            "dwmd": weight_profile(*sigmoid_pair(d=4)),
+            "smd": weight_profile(*sigmoid_pair(d=4)),
+            "cmd": [1.0] * 4,
+            "mmd": 1.0,
+        }[regularizer]
+        model = init_model(spec, seed=3)
+        model.weights[0][:] = 1e308
+        x_s, y_s, x_t, _ = blobs(m=40)
+        cfg = TrainConfig(regularizer=regularizer, batch_size=40)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                objective_gradient(model, x_s, y_s, x_t, cfg, {0: frozen})
 
 
 def _cross_module_names():

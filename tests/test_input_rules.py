@@ -158,6 +158,30 @@ NAMED_ERRORS = [
      lambda s, t: blob_run(y_t=blobs()[1][:-1]), "target labels"),
     ("evaluate-labels-float", lambda s, t: blob_accuracy(blobs()[1] + 0.6), "labels"),
     ("evaluate-labels-object", lambda s, t: blob_accuracy([0] * 79 + [2**70]), "labels"),
+    ("dwmd_from_moments-profile-str",
+     lambda s, t: dwmd_from_moments(np.zeros((5, 3)), np.zeros((5, 3)), "x", None), "profile"),
+    ("dwmd_from_moments-profile-None",
+     lambda s, t: dwmd_from_moments(np.zeros((5, 3)), np.zeros((5, 3)), None, None), "profile"),
+    ("dwmd_from_moments-config-dict",
+     lambda s, t: dwmd_from_moments(np.zeros((5, 3)), np.zeros((5, 3)), profile(), {"n": 5}),
+     "config"),
+    ("dwmd_from_moments-source-nan",
+     lambda s, t: dwmd_from_moments(np.full((5, 3), np.nan), np.zeros((5, 3)), profile(), None),
+     "moments_source"),
+    ("dwmd_from_moments-target-inf",
+     lambda s, t: dwmd_from_moments(np.zeros((5, 3)), np.full((5, 3), np.inf), profile(), None),
+     "moments_target"),
+    ("truncation_bound-profile-str", lambda s, t: truncation_bound("x", 1.0, 5), "profile"),
+    ("truncation_bound-profile-None", lambda s, t: truncation_bound(None, 1.0, 5), "profile"),
+    ("init_model-seed-None",
+     lambda s, t: nettrain.init_model(NetworkSpec((2, 4, 2), ("relu",), (0,)), seed=None), "seed"),
+    ("init_model-seed-float",
+     lambda s, t: nettrain.init_model(NetworkSpec((2, 4, 2), ("relu",), (0,)), seed=1.0), "seed"),
+    ("init_model-spec-str", lambda s, t: nettrain.init_model("x"), "spec"),
+    ("train_uda-spec-tuple",
+     lambda s, t: train_uda(*blobs()[:3], ((2, 4, 2), ("relu",), (0,)), TrainConfig()), "spec"),
+    ("train_uda-cfg-dict",
+     lambda s, t: train_uda(*blobs()[:3], NetworkSpec((2, 4, 2), ("relu",), (0,)), {}), "cfg"),
 ]
 
 
@@ -185,6 +209,20 @@ def test_frozen_constants_must_fit_the_samples(call, message):
     with pytest.raises(ValueError) as info:
         call(*pair())
     assert str(info.value) == message
+
+
+def test_moment_series_config_none_is_the_default_config():
+    a, b = raw_moments(pair()[0], 5), raw_moments(pair()[1], 5)
+    got = dwmd_from_moments(a, b, profile(), None)
+    assert got.total == dwmd_from_moments(a, b, profile(), DwmdConfig()).total
+
+
+def test_non_finite_moments_named_by_order_and_dimension():
+    a = np.zeros((5, 3))
+    a[2, 1] = -np.inf
+    with pytest.raises(ValueError) as info:
+        dwmd_from_moments(a, np.zeros((5, 3)), profile(), None)
+    assert str(info.value) == "moments_source must be finite, got -inf at order 3, dimension 1"
 
 
 def test_unknown_c_policy_refused_by_weight_profile():

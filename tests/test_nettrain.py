@@ -266,15 +266,15 @@ class TestObjectiveGradient:
     @pytest.mark.parametrize("regularizer", ["dwmd", "smd"])
     def test_one_weight_profile_per_matched_layer(self, regularizer, monkeypatch):
         import dwmd.discrepancy
-        from dwmd.weighting import weight_profile
+        from dwmd.weighting import _profile
 
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return weight_profile(*args, **kwargs)
+            return _profile(*args, **kwargs)
 
-        monkeypatch.setattr(dwmd.discrepancy, "weight_profile", counted)
+        monkeypatch.setattr(dwmd.discrepancy, "_profile", counted)
         spec = tiny_spec(layer_sizes=(2, 4, 3, 2), activations=("sigmoid", "relu"),
                          matched_layers=(0, 1))
         x_s, y_s, x_t, _ = blob_task(m=40)

@@ -90,8 +90,8 @@ def test_builds_the_profile_once(monkeypatch):
     import dwmd.discrepancy as disc
 
     calls = []
-    real = disc.weight_profile
-    monkeypatch.setattr(disc, "weight_profile", lambda *a: calls.append(1) or real(*a))
+    real = disc._profile
+    monkeypatch.setattr(disc, "_profile", lambda *a: calls.append(1) or real(*a))
     s, t = pair(100, 4)
     dwmd_with_gradient(s, t)
     assert len(calls) == 1
