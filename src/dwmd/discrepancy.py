@@ -31,11 +31,11 @@ is gone before the gradients are built. cmd and mmd_rbf stop at the value and
 build no gradient. The MMD value and gradient are accumulated over blocks of
 rows of the pooled kernel matrix, at most BLOCK_ENTRIES entries each, so the
 (m_s + m_t)^2 matrix never exists.
-Its median bandwidth is taken over the pairs i < j of at most MEDIAN_ROWS
-pooled rows, from the same squared-distance row blocks: a pool that fits one
-kernel block gathers that block's pairs and then exponentiates the block as
-the kernel; a larger pool selects the median exactly by counting its pairs'
-leading bits, one block of MEDIAN_BLOCK_ENTRIES at a time.
+Its median bandwidth, median_heuristic_bandwidth, is taken over the pairs
+i < j of at most MEDIAN_ROWS pooled rows: a pool that fits one kernel block
+passes that block, whose pairs are gathered before it is exponentiated as the
+kernel; without a held block the median is selected exactly by counting the
+pairs' leading bits, one block of MEDIAN_BLOCK_ENTRIES entries at a time.
 """
 
 from dataclasses import dataclass, replace
@@ -46,7 +46,7 @@ from .moments import (
     BLOCK_ROWS, _both, _central_moments, _check, _check_count, _check_real, _finite_vector,
     _pooled_mean_scale, _raw_moment_pair, _validate_pair,
 )
-from .weighting import WeightProfile, _check_alpha, _check_c, _median_in_place, _profile
+from .weighting import WeightProfile, _check_alpha, _check_c, _profile
 
 __all__ = [
     "DwmdConfig",
@@ -418,40 +418,6 @@ def _sq_dists(x, rows=slice(None), norms=None):
     return np.maximum(sq, 0.0, out=sq)
 
 
-def median_heuristic_bandwidth(sq):
-    """Median Euclidean distance over the distinct pairs i < j of a pooled
-    squared-distance matrix; falls back to 1.0 when all points coincide.
-
-    sq is overwritten: its diagonal and lower triangle are set to -inf, a
-    block of rows at a time so that the mask stays within BLOCK_ENTRIES / 8
-    bytes, and the whole matrix is partitioned in place, so no copy of the
-    pairs is made.
-
-    No kernel calls it (_median_bandwidth and _pair_median replaced it). It
-    stays as the tests' reference for the median over the pairs i < j, and
-    because the benchmark's tracer looks it up by name.
-    """
-    m = sq.shape[0]
-    step = max(1, BLOCK_ENTRIES // (8 * m))
-    for start in range(0, m, step):
-        rows = sq[start : start + step]
-        np.copyto(rows, -np.inf, where=np.tri(rows.shape[0], m, start, dtype=bool))
-    return _bandwidth(_median_in_place(sq.reshape(-1), skip=m * (m + 1) // 2))
-
-
-def _bandwidth(median_sq):
-    """The median distance from the median squared distance, or 1.0 when it
-    is 0 (all points coincide)."""
-    med = float(np.sqrt(median_sq))
-    return med if med > 0.0 else 1.0
-
-
-def _pair_median(sq):
-    """The median heuristic on one pooled squared-distance matrix, from its
-    pairs i < j gathered into one m(m-1)/2 buffer; sq is left as it is."""
-    return _bandwidth(_median_in_place(sq[~np.tri(sq.shape[0], dtype=bool)]))
-
-
 def _pair_blocks(x, norms):
     """Each block of rows of the pooled rows x, at most MEDIAN_BLOCK_ENTRIES
     entries, as (its squared distances to every row, the mask of its pairs
@@ -465,48 +431,51 @@ def _pair_blocks(x, norms):
         yield sq, ~np.tri(sq.shape[0], m, start, dtype=bool)
 
 
-def _median_bandwidth(x, norms=None):
-    """The median heuristic on the pooled rows x, whose squared row norms
-    norms are computed unless passed: over every pair i < j when x has at
-    most MEDIAN_ROWS rows, else over the pairs of MEDIAN_ROWS rows drawn
-    without replacement by default_rng(0) and kept in row order.
+def median_heuristic_bandwidth(x, norms=None, sq=None):
+    """The median Euclidean distance over the pairs i < j of the pooled rows
+    x, or 1.0 when it is 0 (all points coincide). norms, the squared row
+    norms of x, are computed unless passed. Above MEDIAN_ROWS rows the pairs
+    are those of MEDIAN_ROWS rows drawn without replacement by
+    default_rng(0) and kept in row order.
 
-    Rows that fit one kernel block gather their pairs from one matrix
-    (_pair_median). More rows select the median exactly without holding
-    the pairs: nonnegative float64 values order as their bit patterns, so
-    one pass over the row blocks counts the pairs by their top 16 bits, and
-    a second keeps only the pairs in the buckets that hold the two middle
-    ranks, among which one partition finds them.
+    sq, the squared distances of x in one matrix when the caller holds them
+    (the one kernel block of _mmd_rbf), has its pairs gathered at once and is
+    left as it is. Without it the median is selected exactly without holding
+    the pairs: nonnegative float64 values order as their bit patterns, so one
+    pass over the row blocks counts the pairs by their top 16 bits, and a
+    second keeps only the pairs in the buckets that hold the two middle ranks.
     """
-    if x.shape[0] > MEDIAN_ROWS:
-        rows = np.random.default_rng(0).choice(x.shape[0], MEDIAN_ROWS, replace=False)
-        rows.sort()
-        x, norms = x[rows], None
-    if norms is None:
-        norms = np.einsum("ij,ij->i", x, x)
-    m = x.shape[0]
-    if m * m <= BLOCK_ENTRIES:
-        return _pair_median(_sq_dists(x, norms=norms))
-    counts = np.zeros(1 << 16, dtype=np.int64)
-    for sq, pairs in _pair_blocks(x, norms):
-        top = sq.view(np.uint64)[pairs]
-        top >>= 48
-        counts += np.bincount(top.view(np.int64), minlength=1 << 16)
-    n = m * (m - 1) // 2
-    ends = np.cumsum(counts)
-    low, high = (int(b) for b in np.searchsorted(ends, [(n - 1) // 2, n // 2], side="right"))
-    kept = []
-    for sq, pairs in _pair_blocks(x, norms):
-        bits = sq.view(np.uint64)
-        pairs &= bits >= low << 48
-        pairs &= bits < (high + 1) << 48
-        kept.append(sq[pairs])
-    kept = np.concatenate(kept)
-    # The upper middle value, and for an even count the lower one below it,
-    # averaged as np.median averages them.
-    k = n // 2 - int(ends[low] - counts[low])
-    kept.partition(k)
-    return _bandwidth(kept[k] if n % 2 else (kept[:k].max() + kept[k]) / 2)
+    if sq is not None:
+        pairs = sq[~np.tri(sq.shape[0], dtype=bool)]
+        n, below = pairs.size, 0
+    else:
+        if x.shape[0] > MEDIAN_ROWS:
+            rows = np.random.default_rng(0).choice(x.shape[0], MEDIAN_ROWS, replace=False)
+            rows.sort()
+            x, norms = x[rows], None
+        if norms is None:
+            norms = np.einsum("ij,ij->i", x, x)
+        counts = np.zeros(1 << 16, dtype=np.int64)
+        for block, mask in _pair_blocks(x, norms):
+            top = block.view(np.uint64)[mask]
+            top >>= 48
+            counts += np.bincount(top.view(np.int64), minlength=1 << 16)
+        n = x.shape[0] * (x.shape[0] - 1) // 2
+        ends = np.cumsum(counts)
+        low, high = (int(b) for b in np.searchsorted(ends, [(n - 1) // 2, n // 2], side="right"))
+        kept = []
+        for block, mask in _pair_blocks(x, norms):
+            bits = block.view(np.uint64)
+            mask &= bits >= low << 48
+            mask &= bits < (high + 1) << 48
+            kept.append(block[mask])
+        pairs, below = np.concatenate(kept), int(ends[low] - counts[low])
+    # One partition finds the upper middle value, and for an even count the
+    # lower one below it, averaged as np.median averages them.
+    k = n // 2 - below
+    pairs.partition(k)
+    med = float(np.sqrt(pairs[k] if n % 2 else (pairs[:k].max() + pairs[k]) / 2))
+    return med if med > 0.0 else 1.0
 
 
 def _fixed_bandwidth(bandwidth):
@@ -549,7 +518,7 @@ def _mmd_rbf(source, target, bandwidth, with_gradient=False):
     # the kernel alike.
     kernel = _sq_dists(x, norms=norms) if step >= x.shape[0] else None
     if sigma is None:
-        sigma = _median_bandwidth(x, norms) if kernel is None else _pair_median(kernel)
+        sigma = median_heuristic_bandwidth(x, norms, kernel)
     # Over the pooled rows X with signed weights w (1/m_s source, -1/m_t
     # target) the value is w^T K w; since d k(x, y)/dx = -(x - y)/sigma^2
     # k(x, y), the gradient is -(2/sigma^2) w * ((K w) * X - K (w * X)).

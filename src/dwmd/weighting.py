@@ -71,20 +71,16 @@ class WeightProfile:
         return self.tau.shape[0]
 
 
-def _median_in_place(buf, skip=0):
-    """Median along the last axis of buf[..., skip:], as np.median computes
-    it, from one partition of buf in place (buf is reordered).
-
-    The skip leading entries of each row must be no larger than any other
-    entry (e.g. -inf padding). The upper middle value is selected; for an even
-    count the lower middle is the max of the part below it. The result is a
-    copy, so buf may be overwritten afterwards.
+def _median_in_place(buf):
+    """Median along the last axis of buf, as np.median computes it, from one
+    partition of buf in place (buf is reordered): the upper middle value is
+    selected, and for an even count the lower middle is the max of the part
+    below it. The result is a copy, so buf may be overwritten afterwards.
     """
-    count = buf.shape[-1] - skip
-    k = skip + count // 2
+    k = buf.shape[-1] // 2
     buf.partition(k, axis=-1)
     upper = buf[..., k]
-    if count % 2:
+    if buf.shape[-1] % 2:
         return upper.copy()
     return (buf[..., :k].max(axis=-1) + upper) / 2
 

@@ -328,9 +328,9 @@ class TestMmdOracle:
             sq = _sq_dists(x)
             off_diag = sq[~np.eye(len(x), dtype=bool)]
             expected = float(np.sqrt(np.median(off_diag)))
-            got = median_heuristic_bandwidth(sq.copy())
+            got = median_heuristic_bandwidth(x)
             assert got == pytest.approx(expected, rel=1e-14), name
-        assert median_heuristic_bandwidth(_sq_dists(np.ones((6, 3)))) == 1.0
+        assert median_heuristic_bandwidth(np.ones((6, 3))) == 1.0
 
     def test_value_on_identical_samples_is_nonnegative(self):
         from dwmd.discrepancy import mmd_rbf
@@ -362,14 +362,24 @@ class TestBlockMmd:
             np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
 
     def test_median_is_exact_up_to_median_rows(self):
-        from dwmd.discrepancy import MEDIAN_ROWS, _median_bandwidth, _sq_dists
+        from dwmd.discrepancy import (
+            BLOCK_ENTRIES, MEDIAN_ROWS, _sq_dists, median_heuristic_bandwidth,
+        )
 
         rng = np.random.default_rng(51)
-        for m in (2, 3, 41, 400, MEDIAN_ROWS):
-            x = rng.normal(size=(m, 4))
+        # Integer points: tied and zero distances, and 630 pairs (an even
+        # count) whose two middle squared distances, 8 and 9, are averaged.
+        grid = np.random.default_rng(76).integers(-2, 3, size=(36, 2)).astype(np.float64)
+        for m in (2, 3, 41, "grid", 400, MEDIAN_ROWS):
+            x = grid if m == "grid" else rng.normal(size=(m, 4))
             sq = _sq_dists(x)
-            expected = float(np.sqrt(np.median(sq[~np.tri(m, dtype=bool)])))
-            assert _median_bandwidth(x) == expected, m
+            expected = float(np.sqrt(np.median(sq[~np.tri(len(x), dtype=bool)])))
+            assert median_heuristic_bandwidth(x) == expected, m
+            if sq.size <= BLOCK_ENTRIES:
+                # A held kernel block: its pairs are gathered, it is left as it is.
+                held = sq.copy()
+                assert median_heuristic_bandwidth(x, sq=held) == expected, m
+                assert held.tobytes() == sq.tobytes(), m
         # The MMD itself uses that bandwidth: same bits as passing it.
         s, t = x[: MEDIAN_ROWS // 2], x[MEDIAN_ROWS // 2 :]
         by_median = mmd_rbf_with_gradient(s, t, "median")
@@ -393,7 +403,7 @@ class TestBlockMmd:
         return np.concatenate(pairs)
 
     def test_median_over_several_blocks_is_exact(self):
-        from dwmd.discrepancy import MEDIAN_ROWS, _median_bandwidth
+        from dwmd.discrepancy import MEDIAN_ROWS, median_heuristic_bandwidth
 
         rng = np.random.default_rng(53)
         grid = rng.integers(-3, 4, size=(1200, 3)).astype(np.float64)
@@ -410,16 +420,17 @@ class TestBlockMmd:
             pairs = self.block_pairs(x)
             assert pairs.size == x.shape[0] * (x.shape[0] - 1) // 2, name
             expected = float(np.sqrt(np.median(pairs)))
-            assert _median_bandwidth(x) == expected, name
-        assert _median_bandwidth(np.full((1300, 3), 2.5)) == 1.0
+            assert median_heuristic_bandwidth(x) == expected, name
+        assert median_heuristic_bandwidth(np.full((1300, 3), 2.5)) == 1.0
 
     def test_one_block_median_and_kernel_share_their_matrix(self):
-        from dwmd.discrepancy import _sq_dists, median_heuristic_bandwidth
+        from dwmd.discrepancy import _sq_dists
 
         rng = np.random.default_rng(54)
         for m_s, m_t in ((200, 200), (3, 2), (600, 424)):
             s, t = rng.normal(size=(m_s, 5)), rng.normal(0.4, 1.1, (m_t, 5))
-            sigma = median_heuristic_bandwidth(_sq_dists(np.vstack([s, t])))
+            sq = _sq_dists(np.vstack([s, t]))
+            sigma = float(np.sqrt(np.median(sq[~np.tri(len(sq), dtype=bool)])))
             by_median = mmd_rbf_with_gradient(s, t, "median")
             by_value = mmd_rbf_with_gradient(s, t, sigma)
             assert by_median[0] == by_value[0]
@@ -427,13 +438,13 @@ class TestBlockMmd:
             assert np.array_equal(by_median[2], by_value[2])
 
     def test_subset_median_repeats_and_stays_close(self):
-        from dwmd.discrepancy import _median_bandwidth, _sq_dists, mmd_rbf
+        from dwmd.discrepancy import _sq_dists, median_heuristic_bandwidth, mmd_rbf
 
         rng = np.random.default_rng(52)
         s, t = rng.normal(size=(1500, 5)), rng.normal(0.5, 1.0, (1500, 5))
         x = np.vstack([s, t])
-        sigma = _median_bandwidth(x)
-        assert _median_bandwidth(x.copy()) == sigma
+        sigma = median_heuristic_bandwidth(x)
+        assert median_heuristic_bandwidth(x.copy()) == sigma
         assert mmd_rbf(s, t, "median") == mmd_rbf(s, t, sigma)
         sq = _sq_dists(x)
         all_pairs = float(np.sqrt(np.median(sq[~np.tri(len(x), dtype=bool)])))
