@@ -383,7 +383,6 @@ def _cmd(source, target, k, widths=None, with_gradient=False):
     dnorm = np.divide(
         v, norms[:, None] * w_pow, out=np.zeros_like(v), where=norms[:, None] > 0.0
     )
-    del widths, w_pow, v, norms  # unused below; freed before the m x d gradients
 
     # d mu / d x_i = 1/m and, for o >= 2, d c_o / d x_i = (o/m) *
     # ((x_i - mu)^(o-1) - c_(o-1)) with the centred c_1 = 0: each side's
@@ -440,12 +439,13 @@ def median_heuristic_bandwidth(x, norms=None, sq=None):
 
     sq, the squared distances of x in one matrix when the caller holds them
     (the one kernel block of _mmd_rbf), has its pairs gathered at once and is
-    left as it is. Without it the median is selected exactly without holding
-    the pairs: nonnegative float64 values order as their bit patterns, so one
-    pass over the row blocks counts the pairs by their top 16 bits, and a
-    second keeps only the pairs in the buckets that hold the two middle ranks.
+    left as it is; above MEDIAN_ROWS rows it is not used. Otherwise the
+    median is selected exactly without holding the pairs: nonnegative
+    float64 values order as their bit patterns, so one pass over the row
+    blocks counts the pairs by their top 16 bits, and a second keeps only the
+    pairs in the buckets that hold the two middle ranks.
     """
-    if sq is not None:
+    if sq is not None and x.shape[0] <= MEDIAN_ROWS:
         pairs = sq[~np.tri(sq.shape[0], dtype=bool)]
         n, below = pairs.size, 0
     else:

@@ -126,7 +126,8 @@ def _finite_vector(name, values, d):
 def validate_samples(samples, name="samples"):
     """Coerce to a float64 (m, d) matrix and check the sample-matrix invariants.
 
-    Raises ValueError on wrong rank, empty axes, or non-finite entries.
+    Raises ValueError on wrong rank, empty axes, or non-finite entries; the
+    entries are checked BLOCK_ROWS rows at a time.
     """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 2:
@@ -134,9 +135,11 @@ def validate_samples(samples, name="samples"):
     m, d = arr.shape
     if m < 1 or d < 1:
         raise ValueError(f"{name}: need m >= 1 and d >= 1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise ValueError(f"{name}: non-finite entry at row {i}, column {j}")
+    for row in range(0, m, BLOCK_ROWS):
+        finite = np.isfinite(arr[row : row + BLOCK_ROWS])
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ValueError(f"{name}: non-finite entry at row {row + i}, column {j}")
     return arr
 
 

@@ -22,10 +22,10 @@ loop whose chunks gather the same columns of both sides and share one side's
 budget of entries, so a training batch pair is one chunk; the sides of any
 other pair run as a pair through moments._both. Every row of a chunk is
 reduced on its own, so the means are bit-identical either way. numpy buffers
-a broadcast operand over rows of at most half its buffer size (4096 entries),
-up to a whole chunk of a training pair: the medians are then copied across
-the distance buffer, and the threshold is compared under a buffer of
-BLOCK_ROWS entries.
+a broadcast operand whose rows have at most half its buffer's entries, in a
+buffer up to the size of the whole operation (64 KB by default), so the
+distances and the threshold compare, which broadcast the medians and the
+cuts, run under a buffer of BLOCK_ROWS entries: that copy is at most 8 KB.
 """
 
 from dataclasses import dataclass
@@ -144,19 +144,18 @@ def _kept_sums(cols, dist, n_keep):
     order; dist is a scratch array of the same shape."""
     np.copyto(dist, cols)
     med = _median_in_place(dist)[:, None]
-    _distances(cols, med, dist)
-    # The n_keep-th smallest distance, selected in place. The entries after
-    # it are no smaller, so a row has more distances at the cut than places
-    # left iff one of them equals it. Recomputing the distances afterwards
-    # restores row order without a second buffer.
-    dist.partition(n_keep - 1, axis=1)
-    thr = dist[:, n_keep - 1 : n_keep].copy()
-    surplus = np.flatnonzero(dist[:, n_keep:].min(axis=1) == thr[:, 0])
-    _distances(cols, med, dist)
-    # thr is broadcast too, and dist holds no room to copy it across: compare
-    # under a buffer of BLOCK_ROWS entries (see _distances).
+    # med and thr are broadcast over rows numpy may buffer (module docstring).
     bufsize = np.setbufsize(BLOCK_ROWS)
     try:
+        np.abs(np.subtract(cols, med, out=dist), out=dist)
+        # The n_keep-th smallest distance, selected in place. The entries
+        # after it are no smaller, so a row has more distances at the cut
+        # than places left iff one of them equals it. Recomputing the
+        # distances afterwards restores row order without a second buffer.
+        dist.partition(n_keep - 1, axis=1)
+        thr = dist[:, n_keep - 1 : n_keep].copy()
+        surplus = np.flatnonzero(dist[:, n_keep:].min(axis=1) == thr[:, 0])
+        np.abs(np.subtract(cols, med, out=dist), out=dist)
         keep = dist <= thr
     finally:
         np.setbufsize(bufsize)
@@ -168,18 +167,6 @@ def _kept_sums(cols, dist, n_keep):
         need = n_keep - np.count_nonzero(near < cut, axis=1)
         keep[surplus] &= ~tied | (np.cumsum(tied, axis=1) <= need[:, None])
     return cols.sum(axis=1, where=keep)
-
-
-def _distances(cols, med, dist):
-    """|cols - med| for a (w, 1) med, in dist. numpy buffers a broadcast
-    operand whose rows are at most half its buffer size long, up to a buffer
-    (8192 entries) the size of the whole operation, and runs slower so; med
-    is then copied across dist first. Longer rows take it as it is."""
-    if 2 * cols.shape[1] <= np.getbufsize():
-        np.copyto(dist, med)
-        med = dist
-    np.subtract(cols, med, out=dist)
-    np.abs(dist, out=dist)
 
 
 def _check_c(c_policy, c_value):

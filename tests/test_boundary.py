@@ -78,7 +78,7 @@ class TestValidateOnce:
 
     def test_non_finite_activations_still_stopped(self):
         # A frozen-free dwmd step checks each matched layer once, through
-        # weight_profile, so an overflowing activation cannot pass silently.
+        # dwmd_with_gradient, so an overflowing activation cannot pass silently.
         spec = NetworkSpec((2, 4, 2), ("relu",), matched_layers=(0,))
         model = init_model(spec, seed=3)
         model.weights[0][:] = 1e308

@@ -437,6 +437,12 @@ class TestBlockMmd:
             assert np.array_equal(by_median[1], by_value[1])
             assert np.array_equal(by_median[2], by_value[2])
 
+    def test_held_matrix_above_median_rows_keeps_the_subset(self):
+        from dwmd.discrepancy import MEDIAN_ROWS, _sq_dists, median_heuristic_bandwidth
+
+        x = np.random.default_rng(55).normal(size=(MEDIAN_ROWS + 452, 3))
+        assert median_heuristic_bandwidth(x, sq=_sq_dists(x)) == median_heuristic_bandwidth(x)
+
     def test_subset_median_repeats_and_stays_close(self):
         from dwmd.discrepancy import _sq_dists, median_heuristic_bandwidth, mmd_rbf
 

@@ -1,5 +1,5 @@
-"""Allocation peaks of the weight profile, the gradient kernels, the
-network passes and the CSV reader, measured with tracemalloc.
+"""Allocation peaks of the sample check, the weight profile, the gradient
+kernels, the network passes and the CSV reader, measured with tracemalloc.
 
 numpy reports its array buffers to tracemalloc, so the peak above the
 traced memory at entry counts every array a call builds, its outputs
@@ -68,6 +68,17 @@ def test_a_short_pair_shares_one_sides_chunk_budget():
     assert peak < 2.37 * s.nbytes
 
 
+def test_a_training_pair_is_trimmed_under_a_small_ufunc_buffer():
+    # The training regularizer's shape: a 200 x 16 sigmoid pair, trimmed in
+    # one 32 x 200 chunk. Its rows are short enough for numpy to buffer the
+    # broadcast medians and cuts; under a BLOCK_ROWS buffer the profile peaks
+    # at 4.7x one side, and under numpy's default buffer at 6.4x.
+    rng = np.random.default_rng(3)
+    s, t = 1.0 / (1.0 + np.exp(-rng.normal(size=(2, 200, 16))))
+    peak = peak_bytes(lambda: weight_profile(s, t, 0.1, "scalar", 0.05))
+    assert peak < 5.5 * s.nbytes
+
+
 def test_cmd_gradient_peak(moment_pair):
     s, t = moment_pair
     peak = peak_bytes(lambda: cmd_with_gradient(s, t, 5))
@@ -118,6 +129,12 @@ def test_median_bandwidth_holds_no_pooled_matrix():
     x = np.random.default_rng(15).normal(size=(MEDIAN_ROWS, 4))
     peak = peak_bytes(lambda: median_heuristic_bandwidth(x))
     assert peak < 0.25 * 8 * MEDIAN_ROWS**2
+
+
+def test_validate_samples_checks_one_block_at_a_time():
+    x = np.random.default_rng(17).normal(size=(20_000, 64))
+    peak = peak_bytes(lambda: moments.validate_samples(x))
+    assert peak < 0.05 * x.nbytes
 
 
 def test_raw_moments_keep_one_scratch_array(moment_pair):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dwmd.moments import (
+    BLOCK_ROWS,
     MomentOverflowError,
     central_moments,
     raw_moments,
@@ -107,6 +108,13 @@ class TestValidation:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
             validate_samples([[1.0, np.nan]])
+
+    def test_names_the_global_row_of_a_later_block(self):
+        x = np.zeros((3 * BLOCK_ROWS, 4))
+        x[2 * BLOCK_ROWS + 5, 2] = np.nan
+        match = f"samples: non-finite entry at row {2 * BLOCK_ROWS + 5}, column 2"
+        with pytest.raises(ValueError, match=match):
+            validate_samples(x)
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError, match="2-D"):
