@@ -216,7 +216,7 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, RuntimeError, OSError, OverflowError) as exc:
+    except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"dwmd: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

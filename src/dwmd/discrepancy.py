@@ -43,8 +43,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .moments import (
-    BLOCK_ROWS, _both, _central_moments, _check, _check_count, _check_real, _finite_vector,
-    _pooled_mean_scale, _raw_moment_pair, _validate_pair,
+    BLOCK_ROWS, MomentOverflowError, _both, _central_moments, _check, _check_count, _check_real,
+    _finite_vector, _pooled_mean_scale, _raw_moment_pair, _validate_pair,
 )
 from .weighting import WeightProfile, _check_alpha, _check_c, _profile
 
@@ -238,11 +238,7 @@ def _series(source, target, config=None, frozen=None, uniform=False, with_gradie
     coeff = weights * dfrac * np.sign(delta) * np.arange(1, config.n + 1)[:, None]
     if config.standardize:
         coeff = coeff / scale
-    grad_s, grad_t = _both(
-        lambda: _power_series(s, coeff / s.shape[0]),
-        lambda: _power_series(t, coeff / -t.shape[0]),
-        min(s.shape[0], t.shape[0]),
-    )
+    grad_s, grad_t = _both(_power_series, (s, coeff / s.shape[0]), (t, coeff / -t.shape[0]))
     return report, grad_s, grad_t
 
 
@@ -327,13 +323,8 @@ def smd_gradient(source, target, config=None, profile=None):
 
 def _cmd_widths(source, target):
     """Per-dimension width of the pooled range, floored at CMD_WIDTH_FLOOR."""
-    (s_top, s_bottom), (t_top, t_bottom) = _both(
-        lambda: (source.max(axis=0), source.min(axis=0)),
-        lambda: (target.max(axis=0), target.min(axis=0)),
-        min(source.shape[0], target.shape[0]),
-    )
-    top, bottom = np.maximum(s_top, t_top), np.minimum(s_bottom, t_bottom)
-    return np.maximum(top - bottom, CMD_WIDTH_FLOOR)
+    tops, bottoms = zip(*_both(lambda x: (x.max(axis=0), x.min(axis=0)), (source,), (target,)))
+    return np.maximum(np.maximum(*tops) - np.minimum(*bottoms), CMD_WIDTH_FLOOR)
 
 
 def cmd(source, target, k=5):
@@ -366,10 +357,7 @@ def _cmd(source, target, k, widths=None, with_gradient=False):
         v = _finite_vector("widths", widths, d)
         _check("widths", widths, (v > 0.0).all(), f"a list of {d} finite numbers > 0")
         widths = v
-    rows = min(s.shape[0], t.shape[0])
-    (cs, mu_s), (ct, mu_t) = _both(
-        lambda: _central_moments(s, k), lambda: _central_moments(t, k), rows
-    )
+    (cs, mu_s), (ct, mu_t) = _both(_central_moments, (s, k), (t, k))
     orders = np.arange(1, k + 1)[:, None]
     w_pow = widths**orders
     v = (cs - ct) / w_pow
@@ -389,9 +377,9 @@ def _cmd(source, target, k, widths=None, with_gradient=False):
     # gradient is a power series in the centred samples x - mu whose
     # constant row absorbs the c_(o-1) terms.
     grad_s, grad_t = _both(
-        lambda: _power_series(s, _cmd_coeff(dnorm, cs, orders / s.shape[0]), mu_s),
-        lambda: _power_series(t, _cmd_coeff(dnorm, ct, orders / -t.shape[0]), mu_t),
-        rows,
+        _power_series,
+        (s, _cmd_coeff(dnorm, cs, orders / s.shape[0]), mu_s),
+        (t, _cmd_coeff(dnorm, ct, orders / -t.shape[0]), mu_t),
     )
     return total, grad_s, grad_t
 
@@ -402,6 +390,20 @@ def _cmd_coeff(dnorm, c, scale):
     coeff = dnorm * scale
     coeff[0] -= (coeff[2:] * c[1:-1]).sum(axis=0)
     return coeff
+
+
+def _sq_norms(x, where):
+    """The squared row norms of x. The first above a quarter of the float64
+    max, where a sum in _sq_dists could overflow (np.einsum overflows without
+    a warning), raises MomentOverflowError naming its row i as where(i)."""
+    norms = np.einsum("ij,ij->i", x, x)
+    ok = norms <= np.finfo(np.float64).max / 4
+    if not ok.all():
+        raise MomentOverflowError(
+            f"squared norm of {where(int(np.argmin(ok)))} is above float64 max / 4; "
+            "consider standardizing the inputs"
+        )
+    return norms
 
 
 def _sq_dists(x, rows=slice(None), norms=None):
@@ -433,9 +435,9 @@ def _pair_blocks(x, norms):
 def median_heuristic_bandwidth(x, norms=None, sq=None):
     """The median Euclidean distance over the pairs i < j of the pooled rows
     x, or 1.0 when it is 0 (all points coincide). norms, the squared row
-    norms of x, are computed unless passed. Above MEDIAN_ROWS rows the pairs
-    are those of MEDIAN_ROWS rows drawn without replacement by
-    default_rng(0) and kept in row order.
+    norms of x, are computed by _sq_norms unless passed. Above MEDIAN_ROWS
+    rows the pairs are those of MEDIAN_ROWS rows drawn without replacement
+    by default_rng(0) and kept in row order.
 
     sq, the squared distances of x in one matrix when the caller holds them
     (the one kernel block of _mmd_rbf), has its pairs gathered at once and is
@@ -449,12 +451,13 @@ def median_heuristic_bandwidth(x, norms=None, sq=None):
         pairs = sq[~np.tri(sq.shape[0], dtype=bool)]
         n, below = pairs.size, 0
     else:
+        rows = None
         if x.shape[0] > MEDIAN_ROWS:
             rows = np.random.default_rng(0).choice(x.shape[0], MEDIAN_ROWS, replace=False)
             rows.sort()
             x, norms = x[rows], None
         if norms is None:
-            norms = np.einsum("ij,ij->i", x, x)
+            norms = _sq_norms(x, lambda i: f"row {i if rows is None else rows[i]}")
         counts = np.zeros(1 << 16, dtype=np.int64)
         for block, mask in _pair_blocks(x, norms):
             top = block.view(np.uint64)[mask]
@@ -512,7 +515,7 @@ def _mmd_rbf(source, target, bandwidth, with_gradient=False):
     sigma = _fixed_bandwidth(bandwidth)
     m_s, m_t = s.shape[0], t.shape[0]
     x = np.vstack([s, t])
-    norms = np.einsum("ij,ij->i", x, x)
+    norms = _sq_norms(x, lambda i: f"source row {i}" if i < m_s else f"target row {i - m_s}")
     step = max(1, BLOCK_ENTRIES // x.shape[0])
     # A pool that fits one kernel block builds it once, for the median and
     # the kernel alike.

@@ -285,12 +285,18 @@ def _csv_body(path, reader, header, label_idx):
             for col, cell in enumerate(row):
                 if col == label_idx:
                     try:
-                        labels.append(int(cell))
+                        label = int(cell)
                     except ValueError:
                         raise ValueError(
                             f"{path}: row {lineno}, column {col + 1}: "
                             f"label {cell!r} is not an integer"
                         ) from None
+                    if not -(2**63) <= label < 2**63:
+                        raise ValueError(
+                            f"{path}: row {lineno}, column {col + 1}: "
+                            f"label {cell!r} is outside the int64 range"
+                        )
+                    labels.append(label)
                 else:
                     try:
                         feats.append(float(cell))
@@ -426,18 +432,8 @@ def write_report(report, out_dir):
 
 
 def experiment_to_dict(exp):
-    """Lossless mapping of an experiment onto plain JSON-able types."""
-    return {
-        "task": dict(exp.task),
-        "spec": {
-            "layer_sizes": list(exp.spec.layer_sizes),
-            "activations": list(exp.spec.activations),
-            "matched_layers": list(exp.spec.matched_layers),
-        },
-        "cfg": asdict(exp.cfg),
-        "repeats": exp.repeats,
-        "outputs": exp.outputs,
-    }
+    """Lossless mapping of an experiment onto JSON-able types (lists as tuples)."""
+    return asdict(exp)
 
 
 def _section(value, name, schema=None):

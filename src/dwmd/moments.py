@@ -14,8 +14,8 @@ numpy would sum pairwise (d = 1, F order, a strided view) stays one block,
 its scratch in the input's layout, so that numpy adds its rows as in one pass.
 
 The two domains of a pair are reduced apart and meet only where their results
-are subtracted, so _both runs the two sides of such a pair on two threads
-(numpy releases the interpreter lock in its array loops) when the input has
+are subtracted, so _both runs a pair's two calls, one per side, on two threads
+(numpy releases the interpreter lock in its array loops) when both sides have
 more than BLOCK_ROWS rows and the process may run on two CPUs. No per-column
 computation changes with the thread, so the results are bit-identical either
 way. A short pair, two sides of one shape with at most BLOCK_ROWS rows (every
@@ -55,7 +55,8 @@ _CPUS = (
 
 
 class MomentOverflowError(FloatingPointError):
-    """A moment computation produced a non-finite value (overflow at high order)."""
+    """A moment computation produced a non-finite value (overflow at high
+    order), or MMD's squared row norms could overflow its squared distances."""
 
 
 def _check(name, value, ok, what, show=repr):
@@ -156,27 +157,28 @@ def _validate_pair(source, target):
     return s, t
 
 
-def _both(first, second, rows):
-    """(first(), second()) for two independent calls on inputs of about rows
-    rows each; second runs on a worker thread, joined before this returns,
-    when rows > BLOCK_ROWS and the process may run on two CPUs.
+def _both(fn, first, second):
+    """(fn(*first), fn(*second)), each argument tuple starting with its
+    side's sample matrix. The second call runs on a worker thread, joined
+    before this returns, when both matrices have more than BLOCK_ROWS rows
+    and the process may run on two CPUs.
 
-    The worker runs under the caller's numpy error state. If first raises,
-    its error is raised once second has finished, whatever second did.
+    The worker runs under the caller's numpy error state. If the first call
+    raises, its error is raised once the second has finished, whatever that did.
     """
-    if rows <= BLOCK_ROWS or _CPUS < 2:
-        return first(), second()
+    if min(first[0].shape[0], second[0].shape[0]) <= BLOCK_ROWS or _CPUS < 2:
+        return fn(*first), fn(*second)
     errors = np.geterr()
 
     def run_second():
         with np.errstate(**errors):
-            return second()
+            return fn(*second)
 
     with ThreadPoolExecutor(1) as pool:
         later = pool.submit(run_second)
-        # If first raises, leaving the block joins the worker and second's
-        # outcome, error or not, is dropped.
-        result = first()
+        # If the first call raises, leaving the block joins the worker and
+        # the second's outcome, error or not, is dropped.
+        result = fn(*first)
     return result, later.result()
 
 
@@ -251,8 +253,7 @@ def _raw_moment_pair(s, t, n):
     if _short_pair(s, t) and _sums_by_rows(s) and _sums_by_rows(t):
         both = _power_means(np.concatenate((s, t), axis=1), n, "raw", sides=2)
         return both[:, : s.shape[1]], both[:, s.shape[1] :]
-    rows = min(s.shape[0], t.shape[0])
-    return _both(lambda: _power_means(s, n, "raw"), lambda: _power_means(t, n, "raw"), rows)
+    return _both(_power_means, (s, n, "raw"), (t, n, "raw"))
 
 
 def _sum_block_powers(block, out, scratch, carry):

@@ -215,8 +215,7 @@ def _profile(s, t, alpha, c_policy, c_value):
     if _short_pair(s, t):
         means = _trimmed_means((s, t), alpha)
     else:
-        rows = min(s.shape[0], t.shape[0])
-        means = _both(lambda: _trimmed_means(s, alpha), lambda: _trimmed_means(t, alpha), rows)
+        means = _both(_trimmed_means, (s, alpha), (t, alpha))
     tau = np.abs(means[0] - means[1])
     tau_max = float(tau.max())
     if tau_max > 0.0:

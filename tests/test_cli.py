@@ -489,8 +489,8 @@ def test_discrepancy_bad_bandwidth_exit_2(one_dim_pair, capsys):
 
 
 def test_label_past_int64_exit_2(tmp_path, capsys):
-    # load_csv raises the OverflowError int64 conversion raises, as the cell
-    # loop it mirrors does; the command line reports it as a runtime error.
+    # load_csv names a label outside the int64 range by its file, row and
+    # column; the command line reports it as a runtime error.
     source, target = tmp_path / "s.csv", tmp_path / "t.csv"
     source.write_text(f"f0,label\n0.5,0\n1.5,{2**63}\n")
     target.write_text("f0,label\n0.5,0\n1.5,1\n")
@@ -507,4 +507,17 @@ def test_label_past_int64_exit_2(tmp_path, capsys):
     for argv in (discrepancy + ["--label-column", "label"], ["train", "--config", str(config)]):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("dwmd: error: ") and "too large" in err
+        assert err.startswith("dwmd: error: ")
+        assert f"row 3, column 2: label '{2**63}' is outside the int64 range" in err
+
+
+@pytest.mark.parametrize("metric, kind", [("dwmd", "raw"), ("smd", "raw"), ("cmd", "central")])
+def test_moment_overflow_exit_2(tmp_path, capsys, metric, kind):
+    source, target = tmp_path / "s.csv", tmp_path / "t.csv"
+    write_csv(source, [1e100, 1.0, 2.0, 3.0, 4.0])
+    write_csv(target, [1.0, 2.0, 3.0, 4.0, 5.0])
+    argv = ["discrepancy", "--source", str(source), "--target", str(target), "--metric", metric]
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"dwmd: error: non-finite {kind} moment at order 4, dimension 0; ")

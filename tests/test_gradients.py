@@ -455,3 +455,59 @@ class TestBlockMmd:
         sq = _sq_dists(x)
         all_pairs = float(np.sqrt(np.median(sq[~np.tri(len(x), dtype=bool)])))
         assert sigma == pytest.approx(all_pairs, rel=0.02)
+
+
+class TestMmdSquaredNormOverflow:
+    """Finite rows whose squared norms could overflow the squared distances
+    raise a named MomentOverflowError, not a NaN or a silent bandwidth."""
+
+    @staticmethod
+    def pair(scale):
+        rng = np.random.default_rng(60)
+        return rng.normal(size=(50, 4)) * scale, rng.normal(0.5, 1.0, (50, 4)) * scale
+
+    @pytest.mark.parametrize("bandwidth", ["median", 1.0])
+    @pytest.mark.parametrize("with_gradient", [False, True])
+    def test_mmd_names_the_side_and_row(self, bandwidth, with_gradient):
+        from dwmd.discrepancy import mmd_rbf
+        from dwmd.moments import MomentOverflowError
+
+        mmd = mmd_rbf_with_gradient if with_gradient else mmd_rbf
+        s, t = self.pair(1e155)
+        with pytest.raises(MomentOverflowError, match="squared norm of source row 0 .*; consider"):
+            mmd(s, t, bandwidth)
+        s, t = self.pair(1.0)
+        t[7, 2] = 1e155
+        with pytest.raises(MomentOverflowError, match="squared norm of target row 7 "):
+            mmd(s, t, bandwidth)
+
+    def test_large_rows_below_the_bound_stay_finite(self):
+        from dwmd.discrepancy import mmd_rbf
+
+        s, t = self.pair(1e150)
+        value, g_s, g_t = mmd_rbf_with_gradient(s, t, "median")
+        assert np.isfinite(value) and value == mmd_rbf(s, t, "median")
+        assert np.isfinite(g_s).all() and np.isfinite(g_t).all()
+
+    def test_median_names_the_row(self):
+        from dwmd.discrepancy import median_heuristic_bandwidth
+        from dwmd.moments import MomentOverflowError
+
+        x = np.vstack(self.pair(1.0))
+        x[3, 0] = 1e155
+        with pytest.raises(MomentOverflowError, match="squared norm of row 3 .*standardizing"):
+            median_heuristic_bandwidth(x)
+
+    def test_median_names_the_callers_row_of_a_subset(self):
+        from dwmd.discrepancy import MEDIAN_ROWS, median_heuristic_bandwidth
+        from dwmd.moments import MomentOverflowError
+
+        m = MEDIAN_ROWS + 300
+        kept = np.sort(np.random.default_rng(0).choice(m, MEDIAN_ROWS, replace=False))
+        left_out = np.setdiff1d(np.arange(m), kept)
+        x = np.random.default_rng(61).normal(size=(m, 3))
+        x[left_out[0]] = 1e155  # no pair of the subset holds it
+        assert np.isfinite(median_heuristic_bandwidth(x))
+        x[kept[5]] = 1e155
+        with pytest.raises(MomentOverflowError, match=f"squared norm of row {kept[5]} "):
+            median_heuristic_bandwidth(x)

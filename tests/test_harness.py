@@ -381,12 +381,18 @@ def reference_load_csv(path, label_column=None):
             for col, cell in enumerate(row):
                 if col == label_idx:
                     try:
-                        labels.append(int(cell))
+                        label = int(cell)
                     except ValueError:
                         raise ValueError(
                             f"{path}: row {lineno}, column {col + 1}: "
                             f"label {cell!r} is not an integer"
                         ) from None
+                    if not -(2**63) <= label < 2**63:
+                        raise ValueError(
+                            f"{path}: row {lineno}, column {col + 1}: "
+                            f"label {cell!r} is outside the int64 range"
+                        )
+                    labels.append(label)
                 else:
                     try:
                         feats.append(float(cell))
@@ -480,6 +486,24 @@ class TestLoadCsvMatchesTheCellLoop:
         path = tmp_path / "x.csv"
         path.write_text(f"f0,label\n0.5,{label}\n1.5,1\n")
         assert loaded(load_csv, path, "label") == loaded(reference_load_csv, path, "label")
+
+    @pytest.mark.parametrize("label", [2**63, -(2**63) - 1])
+    def test_a_label_outside_int64_is_named(self, tmp_path, label):
+        path = tmp_path / "x.csv"
+        path.write_text(f"f0,label\n0.5,0\n1.5,{label}\n")
+        message = f"row 3, column 2: label '{label}' is outside the int64 range"
+        with pytest.raises(ValueError, match=message):
+            load_csv(path, "label")
+
+    def test_label_range_is_checked_before_the_features(self, tmp_path):
+        # Both loaders stop at the label in the cell loop, before the
+        # finiteness check of the features.
+        path = tmp_path / "x.csv"
+        path.write_text("f0,label\nnan,9223372036854775808\n1.5,1\n")
+        result = loaded(load_csv, path, "label")
+        assert result == loaded(reference_load_csv, path, "label")
+        label = "label '9223372036854775808' is outside the int64 range"
+        assert result == (ValueError, f"{path}: row 2, column 2: {label}")
 
     def test_float_label_refused(self, tmp_path):
         path = tmp_path / "x.csv"

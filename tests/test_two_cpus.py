@@ -75,11 +75,27 @@ def test_trimmed_means_over_uneven_column_chunks(cpus, d, layout, integers):
     np.testing.assert_array_equal(profile.tau, np.abs(expected[0] - expected[1]))
 
 
+def side(rows, *args):
+    """The argument tuple of one side of moments._both: a sample matrix of
+    rows rows, then args."""
+    return (np.empty((rows, 1)), *args)
+
+
+def thread_of(x):
+    return threading.get_ident()
+
+
 def test_second_runs_on_a_worker_only_above_one_block(cpus):
-    same = moments._both(threading.get_ident, threading.get_ident, BLOCK_ROWS)
+    same = moments._both(thread_of, side(BLOCK_ROWS), side(BLOCK_ROWS))
     assert same[0] == same[1]
-    split = moments._both(threading.get_ident, threading.get_ident, BLOCK_ROWS + 1)
+    split = moments._both(thread_of, side(BLOCK_ROWS + 1), side(BLOCK_ROWS + 1))
     assert (split[0] != split[1]) == (cpus == 2)
+
+
+@pytest.mark.parametrize("rows", [(BLOCK_ROWS, 10 * BLOCK_ROWS), (10 * BLOCK_ROWS, BLOCK_ROWS)])
+def test_a_pair_splits_only_when_both_sides_exceed_one_block(cpus, rows):
+    first, second = moments._both(thread_of, side(rows[0]), side(rows[1]))
+    assert first == second == threading.get_ident()
 
 
 def test_cmd_gradient_sides_run_on_two_threads(cpus, monkeypatch):
@@ -129,15 +145,20 @@ def test_the_worker_runs_under_the_callers_error_state(cpus):
     def overflow():
         return np.full(3, 1e308) * 10.0
 
+    def call(x, fn):
+        return fn()
+
+    first, second = side(BLOCK_ROWS + 1, lambda: None), side(BLOCK_ROWS + 1, overflow)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
-            _, out = moments._both(lambda: None, overflow, BLOCK_ROWS + 1)
+            _, out = moments._both(call, first, second)
         assert np.isinf(out).all()
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            moments._both(lambda: None, overflow, BLOCK_ROWS + 1)
+            moments._both(call, first, second)
         with pytest.raises(RuntimeWarning, match="overflow"):
-            moments._both(lambda: None, overflow, BLOCK_ROWS + 1)
+            moments._both(call, first, second)
 
 
 def test_sides_are_told_apart_by_position(cpus):
