@@ -17,20 +17,26 @@ one (order, dimension) coefficient row per power, in the raw samples for the
 series and in the centred samples for CMD (each block of rows is centred as it
 is read, for the moments and the gradient alike, so no centred copy of a side
 exists). One helper, _power_series, evaluates them by Horner's rule, into one
-output array per sample matrix, one block of BLOCK_ROWS // 2 rows at a time.
+output array per sample matrix, one block of BLOCK_ROWS // 2 rows at a time,
+under a ufunc buffer of BLOCK_ROWS entries: numpy buffers a broadcast
+coefficient row over short rows, and that copy is then at most 8 KB, not
+its default 64 KB.
 The source and target sides of the series moments and gradient, and of the
 CMD ranges, central moments and gradient, run on two threads when both sides
 have more than BLOCK_ROWS rows and the process may run on two CPUs
 (moments._both); the half-height blocks keep CMD's centred rows to one
 BLOCK_ROWS block across both threads. The raw moments of a short pair (one
 shape, at most BLOCK_ROWS rows, as in every training step) are reduced in one
-pass over its two sides side by side where numpy sums them row by row
-(moments._raw_moment_pair), and its profile is trimmed in one chunk loop; its
-gradient still runs one side after the other, so that the side-by-side copy
-is gone before the gradients are built. cmd and mmd_rbf stop at the value and
-build no gradient. The MMD value and gradient are accumulated over blocks of
-rows of the pooled kernel matrix, at most BLOCK_ENTRIES entries each, so the
-(m_s + m_t)^2 matrix never exists.
+pass over a copy of its two sides side by side where numpy sums them row by
+row (moments._raw_moment_pair), and its profile is trimmed in one chunk loop.
+Its gradient follows the moments: where they had that copy, both sides'
+gradients come from one power series pass over it, whose coefficient rows
+hold the source's and the target's side by side, and they are the two column
+halves of its output; else each side has its own pass. Horner's rule works
+entry by entry, so the gradients are bit-identical either way. cmd and
+mmd_rbf stop at the value and build no gradient. The MMD value and gradient
+are accumulated over blocks of rows of the pooled kernel matrix, at most
+BLOCK_ENTRIES entries each, so the (m_s + m_t)^2 matrix never exists.
 Its median bandwidth, median_heuristic_bandwidth, is taken over the pairs
 i < j of at most MEDIAN_ROWS pooled rows: a pool that fits one kernel block
 passes that block, whose pairs are gathered before it is exponentiated as the
@@ -133,11 +139,11 @@ class DiscrepancyReport:
 
 
 def _report(delta, profile, config):
-    """The per-order report for a moment-gap matrix, plus the |gap| matrix
-    (zeroed below DELTA_UNDERFLOW), |gap|^beta and the (n, d) order weights,
-    which the gradient reuses."""
+    """The per-order report for a moment-gap matrix, plus what the gradient
+    reuses: the |gap| matrix (zeroed below DELTA_UNDERFLOW), |gap|^beta, the
+    (n, d) order weights and the (n, 1) column of the orders."""
     gap = np.abs(delta)
-    gap = np.where(gap < DELTA_UNDERFLOW, 0.0, gap)
+    gap[gap < DELTA_UNDERFLOW] = 0.0
     powered = gap**config.beta
     orders = np.arange(1, config.n + 1, dtype=np.float64)[:, None]
     weights = np.exp(-config.psi * orders / profile.tau_normalized[None, :])
@@ -150,7 +156,7 @@ def _report(delta, profile, config):
         truncation_bound=_tail_bound(profile, config.psi, config.n),
         weight_profile=profile,
     )
-    return report, gap, powered, weights
+    return report, gap, powered, weights, orders
 
 
 def truncation_bound(profile, psi, n):
@@ -218,13 +224,14 @@ def _series(source, target, config=None, frozen=None, uniform=False, with_gradie
         tau_c = float(profile.tau_normalized.mean())
         profile = replace(profile, tau_normalized=np.full(profile.d, tau_c))
 
-    moments_s, moments_t = _raw_moment_pair(s, t, config.n)
+    moments_s, moments_t, both = _raw_moment_pair(s, t, config.n)
     delta = moments_s - moments_t
-    report, gap, powered, weights = _report(delta, profile, config)
+    report, gap, powered, weights, orders = _report(delta, profile, config)
     if not with_gradient:
         return report
 
-    # d(term)/d(gap) = beta * gap^(beta-1) * C / (C + gap^beta)^2
+    # d(term)/d(gap) = beta * gap^(beta-1) * C / (C + gap^beta)^2, clipped
+    # at GRAD_CLIP, and 0 where the gap is.
     with np.errstate(divide="ignore", invalid="ignore"):
         dfrac = (
             config.beta
@@ -232,14 +239,19 @@ def _series(source, target, config=None, frozen=None, uniform=False, with_gradie
             * profile.c_resolved
             / (profile.c_resolved + powered) ** 2
         )
-    dfrac = np.where(gap == 0.0, 0.0, np.clip(dfrac, None, GRAD_CLIP))
+    np.minimum(dfrac, GRAD_CLIP, out=dfrac)
+    dfrac[gap == 0.0] = 0.0
 
     # Chain through the empirical raw moments: dE[X^k]/dx_ij = k x_ij^(k-1) / m.
-    coeff = weights * dfrac * np.sign(delta) * np.arange(1, config.n + 1)[:, None]
+    coeff = weights * dfrac * np.sign(delta) * orders
     if config.standardize:
-        coeff = coeff / scale
-    grad_s, grad_t = _both(_power_series, (s, coeff / s.shape[0]), (t, coeff / -t.shape[0]))
-    return report, grad_s, grad_t
+        coeff /= scale
+    coeff_s, coeff_t = coeff / s.shape[0], coeff / -t.shape[0]
+    if both is None:
+        return report, *_both(_power_series, (s, coeff_s), (t, coeff_t))
+    # Both sides in one pass over the copy the moments were reduced from.
+    grads = _power_series(both, np.concatenate((coeff_s, coeff_t), axis=1))
+    return report, grads[:, : s.shape[1]], grads[:, s.shape[1] :]
 
 
 def _power_series(x, coeff, shift=None):
@@ -254,16 +266,20 @@ def _power_series(x, coeff, shift=None):
     out = np.empty_like(x)
     step = BLOCK_ROWS // 2
     centred = None if shift is None else np.empty_like(x[:step])
-    for start in range(0, x.shape[0], step):
-        rows = slice(start, start + step)
-        block = x[rows]
-        if shift is not None:
-            block = np.subtract(block, shift, out=centred[: block.shape[0]])
-        acc = out[rows]
-        acc[...] = coeff[-1]
-        for row in coeff[-2::-1]:
-            acc *= block
-            acc += row
+    bufsize = np.setbufsize(BLOCK_ROWS)
+    try:
+        for start in range(0, x.shape[0], step):
+            rows = slice(start, start + step)
+            block = x[rows]
+            if shift is not None:
+                block = np.subtract(block, shift, out=centred[: block.shape[0]])
+            acc = out[rows]
+            acc[...] = coeff[-1]
+            for row in coeff[-2::-1]:
+                acc *= block
+                acc += row
+    finally:
+        np.setbufsize(bufsize)
     return out
 
 
@@ -306,13 +322,18 @@ def dwmd_with_gradient(source, target, config=None, profile=None, uniform=False)
     target entry, (report, grad_source, grad_target), from one pass: the
     weight profile and the moments are built once. The gradient holds the
     weight profile constant; uniform gives the uniform-weight variant (SMD).
+    For a short pair whose moments came from one side-by-side copy, the two
+    gradients are the column halves of one (m, 2d) array: writable views,
+    not C-contiguous, each keeping the other alive (np.ascontiguousarray
+    gives a side its own copy).
     """
     return _series(source, target, config, profile, uniform, with_gradient=True)
 
 
 def dwmd_gradient(source, target, config=None, profile=None):
     """Partial derivatives of the series total with respect to every source
-    and target entry (weight profile held constant)."""
+    and target entry (weight profile held constant), laid out as
+    dwmd_with_gradient returns them."""
     return dwmd_with_gradient(source, target, config, profile)[1:]
 
 
@@ -483,16 +504,36 @@ def median_heuristic_bandwidth(x, norms=None, sq=None):
 
 def _fixed_bandwidth(bandwidth):
     """None for "median", else the bandwidth as a float; a bool, or what
-    float() does not make a finite number > 0, raises a ValueError naming it."""
+    float() does not make a finite number > 0 that _check_bandwidth_scale
+    passes, raises a ValueError naming it."""
     if isinstance(bandwidth, str) and bandwidth == "median":
         return None
     try:
         sigma = float(bandwidth)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         sigma = np.nan
     ok = not isinstance(bandwidth, (bool, np.bool_)) and 0.0 < sigma < np.inf
     _check("bandwidth", bandwidth, ok, "'median' or a finite number > 0")
+    _check_bandwidth_scale("bandwidth", sigma)
     return sigma
+
+
+def _check_bandwidth_scale(name, sigma):
+    """Raise a ValueError naming the field unless the fixed MMD bandwidth
+    sigma, a finite number > 0, has a square and twice that, by which the
+    gradient and the kernel's exponent divide, that are finite normal
+    floats. Below that range the kernel is NaN or its division by zero
+    raises; above it the kernel is all ones."""
+    try:
+        sq = float(sigma) * float(sigma)
+    except OverflowError:  # an int past the float range
+        sq = np.inf
+    ok = np.finfo(np.float64).tiny <= sq and 2.0 * sq < np.inf
+    what = (
+        "'median' or a number from 1.5e-154 to 9.4e153, whose square and twice that "
+        "are normal floats"
+    )
+    _check(name, sigma, ok, what, str)
 
 
 def mmd_rbf(source, target, bandwidth="median"):

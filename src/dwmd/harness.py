@@ -361,14 +361,25 @@ def _materialize_task(task, seed):
 def run_experiment(exp):
     """Train one model per seed 1..repeats and aggregate target accuracy.
 
-    Each seed regenerates the task (synthetic tasks resample) and trains with
-    that seed. Per-seed failures are recorded and excluded from aggregates;
-    the run errors only when every seed fails.
+    Each seed trains with that seed; a synthetic task is resampled per seed,
+    a CSV task is loaded once and every seed reads the same arrays (training
+    never writes to its inputs). Per-seed failures, a CSV task's load error
+    included, are recorded and excluded from aggregates; the run errors only
+    when every seed fails.
     """
     per_seed, traces = [], {}
-    for seed in range(1, exp.repeats + 1):
+    arrays = error = None
+    if exp.task["kind"] == "csv":
         try:
-            source, y_s, target, y_t = _materialize_task(exp.task, seed)
+            arrays = _materialize_task(exp.task, None)
+        except ValueError as exc:
+            error = str(exc)
+    for seed in range(1, exp.repeats + 1):
+        if error is not None:
+            per_seed.append({"seed": seed, "error": error})
+            continue
+        try:
+            source, y_s, target, y_t = arrays or _materialize_task(exp.task, seed)
             cfg = replace(exp.cfg, seed=seed)
             model = train_uda(source, y_s, target, exp.spec, cfg, target_labels=y_t)
             per_seed.append({"seed": seed, "accuracy": model.history["target_accuracy"][-1]})

@@ -23,7 +23,9 @@ regularized training step has one), runs on the calling thread, and its raw
 moments come from one pass over a copy of its two sides side by side when
 numpy sums each side row by row (C order, d >= 2): such a column sum keeps
 its bits beside other columns, and the pair pays numpy's per-call and
-per-row costs once. Its scratch is then one block of the 2d-wide copy.
+per-row costs once. Its scratch is then one block of the 2d-wide copy, and
+the copy goes back to the caller, whose series gradient of both sides takes
+one pass over it too.
 
 The package's argument checks are written here too, all on _check.
 """
@@ -246,14 +248,16 @@ def _power_means(x, n, what, shift=None, sides=1):
 
 
 def _raw_moment_pair(s, t, n):
-    """The raw moments of orders 1..n of s and of t. A short pair whose sides
-    numpy sums row by row (_short_pair, _sums_by_rows) is reduced in one pass
-    over its two sides side by side, every column with the bits of its own
-    side's pass; any other pair runs one pass per side, through _both."""
+    """The raw moments of orders 1..n of s and of t, and the side-by-side
+    copy of both sides they were reduced from (None if there was none). A
+    short pair whose sides numpy sums row by row (_short_pair, _sums_by_rows)
+    is reduced in one pass over that copy, every column with the bits of its
+    own side's pass; any other pair runs one pass per side, through _both."""
     if _short_pair(s, t) and _sums_by_rows(s) and _sums_by_rows(t):
-        both = _power_means(np.concatenate((s, t), axis=1), n, "raw", sides=2)
-        return both[:, : s.shape[1]], both[:, s.shape[1] :]
-    return _both(_power_means, (s, n, "raw"), (t, n, "raw"))
+        both = np.concatenate((s, t), axis=1)
+        moments = _power_means(both, n, "raw", sides=2)
+        return moments[:, : s.shape[1]], moments[:, s.shape[1] :], both
+    return *_both(_power_means, (s, n, "raw"), (t, n, "raw")), None
 
 
 def _sum_block_powers(block, out, scratch, carry):

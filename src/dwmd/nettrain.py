@@ -94,6 +94,8 @@ class TrainConfig:
         _check("dwmd", self.dwmd, isinstance(self.dwmd, DwmdConfig), "a DwmdConfig")
         ok = (isinstance(bw, str) and bw == "median") or (_is_real(bw) and 0.0 < bw < np.inf)
         _check("mmd_bandwidth", bw, ok, "'median' or a finite number > 0")
+        if not isinstance(bw, str):
+            disc._check_bandwidth_scale("mmd_bandwidth", bw)
         trims = self.lam > 0.0 and self.regularizer in ("dwmd", "smd")
         ok = not trims or self.batch_size >= MIN_TRIMMING_BATCH
         what = f">= {MIN_TRIMMING_BATCH} per domain for trimmed-mean weighting"

@@ -8,18 +8,23 @@ series; the constant C of the series is resolved here as well.
 The trimming estimator: per dimension, drop the ceil(alpha * m) samples
 farthest from that dimension's median, then average the rest. A 1-D one-class
 decision boundary is an interval, so this matches one-class outlier removal on
-each dimension while staying deterministic and dependency-free. The cut is
-found by selection (introselect, through np.partition) in expected O(m) time
-per dimension, not by sorting; among samples tied at the cut the earliest rows
-are kept, so a row permutation moves a trimmed mean only by rounding when no
-distances tie. The columns are trimmed in chunks of about as many entries as
-BLOCK_ROWS rows (a batch of up to BLOCK_ROWS rows is one chunk), each
-gathered BLOCK_ROWS rows at a time into one contiguous row per dimension,
-where the median, distances, selections and masked sum run with one distance
-buffer of the same size. The two sides of a short pair (one shape, at most
-BLOCK_ROWS rows: every regularized training step) are trimmed in one chunk
-loop whose chunks gather the same columns of both sides and share one side's
-budget of entries, so a training batch pair is one chunk; the sides of any
+each dimension while staying deterministic and dependency-free. Among
+samples tied at the cut the earliest rows are kept, so a row permutation
+moves a trimmed mean only by rounding when no distances tie. The columns are
+trimmed in chunks of about as many entries as BLOCK_ROWS rows (a batch of up
+to BLOCK_ROWS rows is one chunk), each gathered BLOCK_ROWS rows at a time
+into one contiguous row per dimension, where the median, distances, cut and
+masked sum run with one distance buffer of the same size. A row of more than
+SORT_ROWS entries finds its median and its cut by two selections
+(introselect, through np.partition) in expected O(m) time. A shorter row, as
+in every training batch, is sorted once in the distance buffer: the median is
+its middle, and since the distances to the median fall and then rise along
+a sorted row, the cut is selected among its first and last n_drop + 1
+distances alone. The cut and the kept entries are the same either way. The
+two sides of a short pair (one shape, at most BLOCK_ROWS rows: every
+regularized training step) are trimmed in one chunk loop whose chunks
+gather the same columns of both sides and share one side's budget of
+entries, so a training batch pair is one chunk; the sides of any
 other pair run as a pair through moments._both. Every row of a chunk is
 reduced on its own, so the means are bit-identical either way. numpy buffers
 a broadcast operand whose rows have at most half its buffer's entries, in a
@@ -46,6 +51,10 @@ TAU_FLOOR = 1e-6
 C_FLOOR = 1e-8
 # The ways the series constant C can be resolved (see resolve_c).
 C_POLICIES = ("scalar", "tau_first", "tau_vector")
+# Longest trimming row that is sorted once, not selected twice: on a 2-CPU
+# x86 VM (numpy 2.4) one sort beat the two selections at 200 and 500
+# entries, and lost at 700 and 1000.
+SORT_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,8 @@ def robust_dim_means(samples, alpha):
     farthest (in absolute distance) from the column median, average the rest.
 
     The kept samples are those below the (m - ceil(alpha*m))-th smallest
-    distance, found by selection in expected O(m) per dimension, plus as many
+    distance, found by selection in expected O(m) per dimension (by one sort
+    for a column of at most SORT_ROWS rows), plus as many
     of the samples at that distance as still fit, earliest rows first (the
     rule of a stable sort). The sum runs in row order, so permuting rows
     without tied distances changes a mean only by rounding.
@@ -142,19 +152,38 @@ def _kept_sums(cols, dist, n_keep):
     """Per row of cols, the sum of the n_keep entries nearest the row's
     median (ties at the cut broken towards the earliest entries), in entry
     order; dist is a scratch array of the same shape."""
+    m = cols.shape[1]
+    # The cut is the n_tail-th largest distance, selected among the first
+    # c entries of dist.
+    n_tail, c = m - n_keep + 1, m
     np.copyto(dist, cols)
-    med = _median_in_place(dist)[:, None]
+    rows = cols
+    if m <= SORT_ROWS:
+        # The median of a sorted row is its middle, as _median_in_place takes it.
+        dist.sort(axis=1)
+        k = m // 2
+        upper = dist[:, k : k + 1]
+        med = upper.copy() if m % 2 else (dist[:, k - 1 : k] + upper) / 2
+        rows, c = dist, min(m, 2 * n_tail)
+    else:
+        med = _median_in_place(dist)[:, None]
     # med and thr are broadcast over rows numpy may buffer (module docstring).
     bufsize = np.setbufsize(BLOCK_ROWS)
     try:
-        np.abs(np.subtract(cols, med, out=dist), out=dist)
-        # The n_keep-th smallest distance, selected in place. The entries
-        # after it are no smaller, so a row has more distances at the cut
-        # than places left iff one of them equals it. Recomputing the
-        # distances afterwards restores row order without a second buffer.
-        dist.partition(n_keep - 1, axis=1)
-        thr = dist[:, n_keep - 1 : n_keep].copy()
-        surplus = np.flatnonzero(dist[:, n_keep:].min(axis=1) == thr[:, 0])
+        # Distances along a sorted row fall to the median and rise after
+        # it, so its n_tail largest are among its first and last n_tail,
+        # moved side by side. A longer row's are in entry order (selecting
+        # on them ran 5% faster at 8 x 50000 than on the median's order).
+        np.abs(np.subtract(rows, med, out=dist), out=dist)
+        cand = dist[:, :c]
+        if c < m:
+            cand[:, n_tail:] = dist[:, m - n_tail :]
+        # The cut, selected in place. The entries after it are no smaller,
+        # so a row has more distances at the cut than places left iff one of
+        # them equals it (no entry left out of cand is above the cut).
+        cand.partition(c - n_tail, axis=1)
+        thr = cand[:, c - n_tail : c - n_tail + 1].copy()
+        surplus = np.flatnonzero(cand[:, c - n_tail + 1 :].min(axis=1) == thr[:, 0])
         np.abs(np.subtract(cols, med, out=dist), out=dist)
         keep = dist <= thr
     finally:

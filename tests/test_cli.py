@@ -521,3 +521,14 @@ def test_moment_overflow_exit_2(tmp_path, capsys, metric, kind):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"dwmd: error: non-finite {kind} moment at order 4, dimension 0; ")
+
+
+def test_discrepancy_underflowing_bandwidth_exit_2(one_dim_pair, capsys):
+    source, target = one_dim_pair
+    code = main(
+        ["discrepancy", "--source", source, "--target", target, "--metric", "mmd", "--bandwidth", "1e-160"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bandwidth must be 'median' or a number from 1.5e-154 to 9.4e153" in err
+    assert "got 1e-160" in err and "Traceback" not in err

@@ -343,3 +343,34 @@ def test_standardize_must_be_a_bool(value):
 
 def test_standardize_accepts_numpy_bools():
     assert DwmdConfig(standardize=np.bool_(True)).standardize
+
+
+class TestBandwidthScale:
+    """A fixed MMD bandwidth whose square or twice that is not a finite
+    normal float is refused by name: below the range the kernel was NaN or
+    its division raised ZeroDivisionError, above it the kernel was all ones."""
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [1e-160, 1e-200, 1.0e-154, 1e200, 9.5e153, 10**400],
+        ids=["1e-160", "1e-200", "1.0e-154", "1e200", "9.5e153", "int 10**400"],
+    )
+    def test_out_of_range_bandwidth_is_named(self, sigma):
+        s, t = np.zeros((4, 2)), np.ones((4, 2))
+        for call in (mmd_rbf, mmd_rbf_with_gradient):
+            with pytest.raises(ValueError, match="^bandwidth must be 'median' or a"):
+                call(s, t, sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e200])
+    def test_train_config_uses_the_same_rule(self, sigma):
+        from dwmd.nettrain import TrainConfig
+
+        with pytest.raises(ValueError, match="^mmd_bandwidth must be 'median' or a number from"):
+            TrainConfig(regularizer="mmd", mmd_bandwidth=sigma)
+
+    @pytest.mark.parametrize("sigma", [1.5e-154, 1e-100, 1e100, 9.4e153])
+    def test_the_range_ends_give_a_finite_value_and_gradient(self, sigma):
+        scale = min(sigma, 1e150)  # squared row norms stay finite
+        s = np.array([[0.0], [1.0]]) * scale
+        value, g_s, g_t = mmd_rbf_with_gradient(s, s + 0.5 * scale, sigma)
+        assert np.isfinite(value) and np.isfinite(g_s).all() and np.isfinite(g_t).all()

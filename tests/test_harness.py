@@ -626,3 +626,47 @@ def test_config_sections_and_layer_lists_named_on_load(tmp_path, section, key, v
 def test_config_must_be_a_mapping():
     with pytest.raises(ValueError, match="experiment must be a mapping"):
         experiment_from_dict([1, 2])
+
+
+class TestCsvTaskLoadedOnce:
+    """A CSV task is loaded once per experiment; every seed trains from the
+    same arrays, which no seed may write to."""
+
+    def run_counting_loads(self, tmp_path, monkeypatch, read_only):
+        import dwmd.harness as harness
+
+        task, _ = TestTaskKinds().csv_task(tmp_path)
+        loads = []
+        load = harness.load_csv
+
+        def counted(path, label_column=None):
+            matrix, labels = load(path, label_column)
+            if read_only:
+                matrix.flags.writeable = False
+                labels.flags.writeable = False
+            loads.append(path)
+            return matrix, labels
+
+        monkeypatch.setattr(harness, "load_csv", counted)
+        exp = replace(small_experiment(str(tmp_path), repeats=3), task=task)
+        return run_experiment(exp), loads
+
+    def test_each_file_is_loaded_once_for_three_seeds(self, tmp_path, monkeypatch):
+        report, loads = self.run_counting_loads(tmp_path, monkeypatch, read_only=False)
+        assert len(loads) == 2 and len(report.per_seed) == 3
+
+    def test_seeds_train_from_read_only_arrays(self, tmp_path, monkeypatch):
+        shared, _ = self.run_counting_loads(tmp_path, monkeypatch, read_only=True)
+        monkeypatch.undo()
+        writable, _ = self.run_counting_loads(tmp_path, monkeypatch, read_only=False)
+        assert all("accuracy" in row for row in shared.per_seed)
+        assert shared.per_seed == writable.per_seed
+        assert shared.traces == writable.traces
+
+    def test_a_load_error_is_recorded_for_every_seed(self, tmp_path):
+        task, _ = TestTaskKinds().csv_task(tmp_path, label_column=None)
+        exp = replace(small_experiment(str(tmp_path), repeats=3), task=task)
+        message = f"{tmp_path / 'source.csv'}: source file needs a label column"
+        with pytest.raises(RuntimeError) as failed:
+            run_experiment(exp)
+        assert str(failed.value) == "all seeds failed: " + "; ".join([message] * 3)

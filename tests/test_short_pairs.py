@@ -72,7 +72,7 @@ def test_paired_trimmed_means_equal_per_side_calls(m, d, layout, integers):
 def test_paired_raw_moments_equal_per_side_passes(m, d, layout):
     s, t = pair(m, d, layout)
     for n in (1, 5):
-        got_s, got_t = _raw_moment_pair(s, t, n)
+        got_s, got_t, _ = _raw_moment_pair(s, t, n)
         np.testing.assert_array_equal(got_s, _power_means(s, n, "raw"))
         np.testing.assert_array_equal(got_t, _power_means(t, n, "raw"))
 
