@@ -50,7 +50,7 @@ import numpy as np
 
 from .moments import (
     BLOCK_ROWS, MomentOverflowError, _both, _central_moments, _check, _check_count, _check_real,
-    _finite_vector, _pooled_mean_scale, _raw_moment_pair, _validate_pair,
+    _finite_vector, _pooled_mean_scale, _raw_moment_pair, _standardized, _validate_pair,
 )
 from .weighting import WeightProfile, _check_alpha, _check_c, _profile
 
@@ -214,9 +214,8 @@ def _series(source, target, config=None, frozen=None, uniform=False, with_gradie
     s, t = _validate_pair(source, target)
     config = _series_config(config, frozen, s.shape[1])
     if config.standardize:
-        mu, scale = _pooled_mean_scale(s, t)
-        s = (s - mu) / scale
-        t = (t - mu) / scale
+        mu, scale, exps = _pooled_mean_scale(s, t)
+        s, t = _standardized(s, mu, scale, exps), _standardized(t, mu, scale, exps)
     profile = frozen
     if profile is None:
         profile = _profile(s, t, config.alpha, config.c_policy, config.c_value)
@@ -248,10 +247,32 @@ def _series(source, target, config=None, frozen=None, uniform=False, with_gradie
         coeff /= scale
     coeff_s, coeff_t = coeff / s.shape[0], coeff / -t.shape[0]
     if both is None:
-        return report, *_both(_power_series, (s, coeff_s), (t, coeff_t))
-    # Both sides in one pass over the copy the moments were reduced from.
-    grads = _power_series(both, np.concatenate((coeff_s, coeff_t), axis=1))
-    return report, grads[:, : s.shape[1]], grads[:, s.shape[1] :]
+        grads = _both(_power_series, (s, coeff_s), (t, coeff_t))
+    else:
+        # Both sides in one pass over the copy the moments were reduced from.
+        joined = _power_series(both, np.concatenate((coeff_s, coeff_t), axis=1))
+        grads = joined[:, : s.shape[1]], joined[:, s.shape[1] :]
+    if config.standardize:
+        _unscale_gradients(grads, exps)
+    return report, *grads
+
+
+def _unscale_gradients(grads, exps):
+    """Multiply each column j of the two standardized-input gradients by
+    2^-exps[j], in place: the gradients were taken for the columns times
+    2^exps[j] (see _pooled_mean_scale), so each entry is rounded once, at the
+    inputs' scale. A gradient past the float64 range raises
+    MomentOverflowError naming its side and dimension."""
+    with np.errstate(over="ignore"):
+        for g in grads:
+            np.ldexp(g, -exps, out=g)
+    for side, g in zip(("source", "target"), grads):
+        finite = np.isfinite(g).all(axis=0)
+        if not finite.all():
+            raise MomentOverflowError(
+                f"non-finite {side} gradient at dimension {int(np.argmin(finite))}: "
+                "the inputs are too small in that dimension for a gradient in float64"
+            )
 
 
 def _power_series(x, coeff, shift=None):

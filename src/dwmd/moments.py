@@ -322,13 +322,29 @@ def standardize_pooled(source, target):
     inputs are not modified.
     """
     s, t = _validate_pair(source, target)
-    mu, scale = _pooled_mean_scale(s, t)
-    return (s - mu) / scale, (t - mu) / scale
+    stats = _pooled_mean_scale(s, t)
+    return _standardized(s, *stats), _standardized(t, *stats)
 
 
 def _pooled_mean_scale(source, target):
-    """Per-dimension mean and scale of the union of two validated matrices;
-    the scale is the population std, or 1 where that std is 0."""
-    pooled = np.vstack([source, target])
+    """Per-dimension statistics of the union of two validated matrices,
+    taken on each column times 2^-k, k the binary exponent of its largest
+    |x|. The scaled column lies in (-1, 1), so no sum in the statistics
+    overflows, and a pair scaled exactly by a power of two gets the
+    statistics, and the standardized values, of the unscaled pair. Returns
+    (mean, scale, k): the mean and scale of the scaled columns, the scale
+    their population std or 1 where that std is 0, and the exponents k."""
+    pooled = np.concatenate((source, target))
+    k = np.frexp(np.maximum(pooled.max(axis=0), -pooled.min(axis=0)))[1]
+    np.ldexp(pooled, -k, out=pooled)
     sd = pooled.std(axis=0)
-    return pooled.mean(axis=0), np.where(sd > 0.0, sd, 1.0)
+    return pooled.mean(axis=0), np.where(sd > 0.0, sd, 1.0), k
+
+
+def _standardized(x, mean, scale, k):
+    """(x * 2^-k - mean) / scale, for the statistics _pooled_mean_scale
+    returns, as one new array."""
+    z = np.ldexp(x, -k)
+    z -= mean
+    z /= scale
+    return z

@@ -141,7 +141,12 @@ def forward(model, batch):
 
 def _forward(model, x):
     """forward on a float64 batch of the input width, which it does not check.
-    Each layer is built in the array its matrix product returns."""
+    Each hidden layer is built in the array its matrix product returns. At
+    the output, the bias, each row's max and the exponential run along the
+    class rows of one class-major (K, rows) copy of the logits, not once per
+    K-wide batch row, and the result is copied back into the logits array.
+    The normalizing sum and the divide stay row-major: numpy's row sum adds
+    eight classes or more in another order than a class-major sum."""
     hiddens = []
     a = x
     for i, name in enumerate(model.spec.activations):
@@ -159,9 +164,11 @@ def _forward(model, x):
             np.maximum(a, 0.0, out=a)
         hiddens.append(a)
     probs = a @ model.weights[-1]
-    probs += model.biases[-1]
-    probs -= probs.max(axis=1, keepdims=True)
-    np.exp(probs, out=probs)
+    logits = probs.T.copy()
+    logits += model.biases[-1][:, None]
+    logits -= logits.max(axis=0)
+    np.exp(logits, out=logits)
+    probs[...] = logits.T
     probs /= probs.sum(axis=1, keepdims=True)
     return hiddens, probs
 
@@ -227,16 +234,20 @@ def objective_gradient(model, x_s, y_s, x_t, cfg, frozen_profiles=None):
     mmd. This is the form finite-difference checks differentiate. Each
     matched layer's activations are checked once, by the regularizer's public
     gradient function, frozen constants or not: non-finite ones raise the
-    ValueError that names the side, row and column.
+    ValueError that names the side, row and column. Each layer's two
+    regularizer gradients are scaled by lambda into new contiguous arrays,
+    which the backward pass adds to the source and the target rows.
     """
     m_b = x_s.shape[0]
     regularized = cfg.lam > 0.0 and cfg.regularizer != "none"
-    x = np.vstack([x_s, x_t]) if regularized else x_s
+    x = np.concatenate((x_s, x_t)) if regularized else x_s
     hiddens, probs = _forward(model, x)
-    rows = np.arange(m_b)
-    ce = float(-np.mean(np.log(np.clip(probs[rows, y_s], 1e-300, None))))
+    # The flat index of each source row's label entry in the C-contiguous probs.
+    n_classes = probs.shape[1]
+    picked = np.arange(0, m_b * n_classes, n_classes) + y_s
+    ce = float(-(np.add.reduce(np.log(np.maximum(probs.ravel().take(picked), 1e-300))) / m_b))
     delta_out = probs  # (probs - onehot) / m_b on the source rows, 0 on the target rows
-    delta_out[rows, y_s] -= 1.0
+    delta_out.ravel()[picked] -= 1.0
     delta_out[:m_b] /= m_b
     delta_out[m_b:] = 0.0
     reg_values, external = dict.fromkeys(model.spec.matched_layers, 0.0), {}
@@ -245,9 +256,10 @@ def objective_gradient(model, x_s, y_s, x_t, cfg, frozen_profiles=None):
             frozen = frozen_profiles.get(layer) if frozen_profiles else None
             a = hiddens[layer]
             reg_values[layer], g_s, g_t = _regularizer_terms(cfg, a[:m_b], a[m_b:], frozen)
-            g_s *= cfg.lam
-            g_t *= cfg.lam
-            external[layer] = g_s, g_t
+            external[layer] = np.multiply(g_s, cfg.lam), np.multiply(g_t, cfg.lam)
+        # g_s and g_t may be the column halves of one (m, 2d) array; dropping
+        # them frees it before the backward pass.
+        del g_s, g_t
     grad_w, grad_b = _backward(model, x, hiddens, delta_out, external)
     loss = ce + cfg.lam * sum(reg_values.values())
     return loss, ce, reg_values, grad_w, grad_b
@@ -317,9 +329,9 @@ def train_uda(source, source_labels, target, spec, cfg, target_labels=None):
         epoch_ce = 0.0
         epoch_reg = {layer: 0.0 for layer in spec.matched_layers}
         for step in range(n_steps):
-            xb_s = x_s[src_batches[step]]
-            yb_s = y_s[src_batches[step]]
-            xb_t = x_t[tgt_batches[step]]
+            xb_s = x_s.take(src_batches[step], axis=0)
+            yb_s = y_s.take(src_batches[step])
+            xb_t = x_t.take(tgt_batches[step], axis=0)
             # A diverging step overflows before any check sees it; the checks
             # below report it, so numpy does not warn during the step.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -334,7 +346,7 @@ def train_uda(source, source_labels, target, spec, cfg, target_labels=None):
                 except ValueError as exc:
                     # The inputs were checked above, so non-finite activations,
                     # which the regularizer refuses, mean the parameters diverged.
-                    hiddens = _forward(model, np.vstack([xb_s, xb_t]))[0]
+                    hiddens = _forward(model, np.concatenate((xb_s, xb_t)))[0]
                     if all(np.isfinite(a).all() for a in hiddens):
                         raise
                     raise TrainingDiverged(

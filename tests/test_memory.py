@@ -15,7 +15,7 @@ from dwmd import moments
 from dwmd.discrepancy import cmd, cmd_with_gradient, dwmd_gradient, mmd_rbf_with_gradient
 from dwmd.harness import load_csv, save_csv
 from dwmd.moments import raw_moments
-from dwmd.nettrain import NetworkSpec, evaluate, init_model
+from dwmd.nettrain import NetworkSpec, TrainConfig, evaluate, init_model, objective_gradient
 from dwmd.weighting import weight_profile
 
 
@@ -170,3 +170,15 @@ def test_network_pass_holds_one_array_per_layer(activation):
     hidden_layer = 8 * 1000 * 64
     peak = peak_bytes(lambda: evaluate(model, x, y))
     assert peak < 1.5 * hidden_layer
+
+
+def test_a_training_step_drops_the_regularizer_gradients_before_backward():
+    # dwmd returns a short pair's two gradients as column halves of one
+    # (200, 32) array. The step scales them into new arrays; were the halves
+    # kept beside those, the peak would rise by about that pair's bytes.
+    rng = np.random.default_rng(15)
+    model = init_model(NetworkSpec((2, 16, 2), ("sigmoid",), (0,)))
+    x_s, x_t, y_s = rng.normal(size=(200, 2)), rng.normal(size=(200, 2)), rng.integers(0, 2, 200)
+    cfg = TrainConfig(regularizer="dwmd")
+    peak = peak_bytes(lambda: objective_gradient(model, x_s, y_s, x_t, cfg))
+    assert peak < 0.24e6
