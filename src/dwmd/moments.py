@@ -167,6 +167,13 @@ def _both(fn, first, second):
 
     The worker runs under the caller's numpy error state. If the first call
     raises, its error is raised once the second has finished, whatever that did.
+
+    fn must be a private kernel that calls no public function of the package.
+    The benchmark's span tracer (bench/tracing.py) wraps the public functions
+    with one span stack shared by all threads, so a traced call such as
+    validate_samples or central_moments made on the worker would be nested
+    under whatever the calling thread has open and corrupt the per-function
+    self times.
     """
     if min(first[0].shape[0], second[0].shape[0]) <= BLOCK_ROWS or _CPUS < 2:
         return fn(*first), fn(*second)

@@ -194,7 +194,9 @@ def _backward(model, x, hiddens, delta_out, external):
     """Backpropagate delta_out, the gradient at the output pre-activation,
     over the rows of x. external maps a hidden-layer index to the (source,
     target) gradients on its activations, added to the first rows and to the
-    rest. Returns (grad_w, grad_b) lists, summed over every row."""
+    rest. It is consumed: each pair is popped and dropped once added, and each
+    sigmoid slope once applied, so neither is alive beside the next layer's
+    delta. Returns (grad_w, grad_b) lists, summed over every row."""
     grad_w, grad_b = [None] * len(model.weights), [None] * len(model.biases)
     grad_w[-1] = hiddens[-1].T @ delta_out
     grad_b[-1] = delta_out.sum(axis=0)
@@ -202,14 +204,16 @@ def _backward(model, x, hiddens, delta_out, external):
     for i in range(model.spec.n_hidden - 1, -1, -1):
         # delta: the gradient at layer i's activations, then at its pre-activations.
         if i in external:
-            g_s, g_t = external[i]
+            g_s, g_t = external.pop(i)
             delta[: g_s.shape[0]] += g_s
             delta[g_s.shape[0] :] += g_t
+            del g_s, g_t
         a = hiddens[i]
         if model.spec.activations[i] == "sigmoid":
             slope = 1.0 - a
             slope *= a
             delta *= slope
+            del slope
         else:
             delta *= a > 0.0
         below = x if i == 0 else hiddens[i - 1]
@@ -236,7 +240,8 @@ def objective_gradient(model, x_s, y_s, x_t, cfg, frozen_profiles=None):
     gradient function, frozen constants or not: non-finite ones raise the
     ValueError that names the side, row and column. Each layer's two
     regularizer gradients are scaled by lambda into new contiguous arrays,
-    which the backward pass adds to the source and the target rows.
+    which live only until the backward pass has added them to the source and
+    the target rows.
     """
     m_b = x_s.shape[0]
     regularized = cfg.lam > 0.0 and cfg.regularizer != "none"

@@ -182,3 +182,33 @@ def test_a_training_step_drops_the_regularizer_gradients_before_backward():
     cfg = TrainConfig(regularizer="dwmd")
     peak = peak_bytes(lambda: objective_gradient(model, x_s, y_s, x_t, cfg))
     assert peak < 0.24e6
+
+
+def _step_peak(sizes, matched, regularizer, rows, seed):
+    """objective_gradient's peak on a sigmoid net, in units of one hidden
+    layer's activations over the source rows stacked on the target rows."""
+    rng = np.random.default_rng(seed)
+    model = init_model(NetworkSpec(sizes, ("sigmoid",) * (len(sizes) - 2), matched))
+    x_s, x_t = rng.normal(size=(rows, sizes[0])), rng.normal(0.5, 1.0, (rows, sizes[0]))
+    y_s = rng.integers(0, sizes[-1], rows)
+    cfg = TrainConfig(regularizer=regularizer)
+    peak = peak_bytes(lambda: objective_gradient(model, x_s, y_s, x_t, cfg))
+    return peak / (8 * 2 * rows * sizes[1])
+
+
+@pytest.mark.parametrize("regularizer", ["dwmd", "smd", "cmd"])
+def test_a_step_adds_and_drops_the_regularizer_gradients_before_the_slope(regularizer):
+    # The backward pass pops each λ-scaled pair, adds it into delta and drops
+    # it before the sigmoid slope is built. Holding the pair until the pass
+    # returned peaked at 4.02x for all three; dropped, the step reads 3.15x
+    # (dwmd, smd) and 3.02x (cmd).
+    assert _step_peak((2, 256, 2), (0,), regularizer, 512, 19) < 3.5
+
+
+@pytest.mark.parametrize("regularizer, limit", [("dwmd", 5.75), ("none", 2.5)])
+def test_a_deep_step_drops_each_slope_before_the_next_delta(regularizer, limit):
+    # Each sigmoid slope is dropped once delta has been multiplied by it,
+    # before delta @ W.T builds the next layer's delta. Kept alive into that
+    # product, the step peaked at 6.27x (dwmd) and 2.76x (none, which passes
+    # the source rows alone); dropped, it reads 5.27x and 2.26x.
+    assert _step_peak((2, 256, 256, 2), (0,), regularizer, 512, 20) < limit
