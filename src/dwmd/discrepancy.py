@@ -95,6 +95,9 @@ class DwmdConfig:
     how the series constant C is resolved (see weighting.resolve_c);
     alpha: trimming fraction of the weight vector; standardize: pooled
     per-dimension standardization of both inputs before anything else.
+    Without standardize the series is not scale invariant, by design: C and
+    DELTA_UNDERFLOW are absolute, while the k-th moment gaps scale as the
+    k-th power of the inputs' units.
     """
 
     n: int = 5
@@ -258,11 +261,12 @@ def _series(source, target, config=None, frozen=None, uniform=False, with_gradie
 
 
 def _unscale_gradients(grads, exps):
-    """Multiply each column j of the two standardized-input gradients by
-    2^-exps[j], in place: the gradients were taken for the columns times
-    2^exps[j] (see _pooled_mean_scale), so each entry is rounded once, at the
-    inputs' scale. A gradient past the float64 range raises
-    MomentOverflowError naming its side and dimension."""
+    """Multiply each column j of the two gradients by 2^-exps[j] (exps one
+    exponent per column, or one for all), in place: the gradients were taken
+    with respect to the columns times 2^-exps[j] (see _pooled_mean_scale and
+    _mmd_rbf), so each entry is rounded once, at the inputs' scale. A
+    gradient past the float64 range raises MomentOverflowError naming its
+    side and dimension."""
     with np.errstate(over="ignore"):
         for g in grads:
             np.ldexp(g, -exps, out=g)
@@ -310,6 +314,8 @@ def dwmd(source, target, config=None, profile=None):
 
     A caller-supplied profile freezes the weights instead of recomputing
     them from the data (the fixed-weight form the gradient differentiates).
+    The value depends on the inputs' units unless config.standardize is set
+    (see DwmdConfig).
     """
     return _series(source, target, config, profile)
 
@@ -392,15 +398,22 @@ def _cmd(source, target, k, widths=None, with_gradient=False):
     with_gradient is set."""
     s, t = _validate_pair(source, target)
     _check_count("k", k)
+    orders = np.arange(1, k + 1)[:, None]
     if widths is None:
         widths = _cmd_widths(s, t)
     else:
         d = s.shape[1]
         v = _finite_vector("widths", widths, d)
         _check("widths", widths, (v > 0.0).all(), f"a list of {d} finite numbers > 0")
+        # Every power up to k lies between the width and its k-th power.
+        with np.errstate(over="ignore"):
+            top = v ** orders[-1]
+        normal = (np.finfo(np.float64).tiny <= top) & (top < np.inf)
+        j = int(np.argmin(normal))
+        what = f"numbers whose power at order k = {k} is a finite normal float"
+        _check("widths", f"{v[j]} at dimension {j}", normal[j], what, str)
         widths = v
     (cs, mu_s), (ct, mu_t) = _both(_central_moments, (s, k), (t, k))
-    orders = np.arange(1, k + 1)[:, None]
     w_pow = widths**orders
     v = (cs - ct) / w_pow
     norms = np.array([np.linalg.norm(row) for row in v])
@@ -523,10 +536,14 @@ def median_heuristic_bandwidth(x, norms=None, sq=None):
     return med if med > 0.0 else 1.0
 
 
-def _fixed_bandwidth(bandwidth):
-    """None for "median", else the bandwidth as a float; a bool, or what
-    float() does not make a finite number > 0 that _check_bandwidth_scale
-    passes, raises a ValueError naming it."""
+def _fixed_bandwidth(bandwidth, name="bandwidth"):
+    """None for "median", else the fixed MMD bandwidth sigma as a float. The
+    rule, stated here only: bandwidth is not a bool, float() makes it a
+    finite number > 0, and sigma^2 and 2 sigma^2, by which the gradient and
+    the kernel's exponent divide, are finite normal floats, so sigma runs
+    from about 1.5e-154 to 9.4e153 (below that the kernel is NaN or its
+    division by zero raises; above it the kernel is all ones). A ValueError
+    names the field, name, otherwise."""
     if isinstance(bandwidth, str) and bandwidth == "median":
         return None
     try:
@@ -534,27 +551,14 @@ def _fixed_bandwidth(bandwidth):
     except (TypeError, ValueError, OverflowError):
         sigma = np.nan
     ok = not isinstance(bandwidth, (bool, np.bool_)) and 0.0 < sigma < np.inf
-    _check("bandwidth", bandwidth, ok, "'median' or a finite number > 0")
-    _check_bandwidth_scale("bandwidth", sigma)
-    return sigma
-
-
-def _check_bandwidth_scale(name, sigma):
-    """Raise a ValueError naming the field unless the fixed MMD bandwidth
-    sigma, a finite number > 0, has a square and twice that, by which the
-    gradient and the kernel's exponent divide, that are finite normal
-    floats. Below that range the kernel is NaN or its division by zero
-    raises; above it the kernel is all ones."""
-    try:
-        sq = float(sigma) * float(sigma)
-    except OverflowError:  # an int past the float range
-        sq = np.inf
-    ok = np.finfo(np.float64).tiny <= sq and 2.0 * sq < np.inf
+    _check(name, bandwidth, ok, "'median' or a finite number > 0")
+    ok = np.finfo(np.float64).tiny <= sigma * sigma and 2.0 * sigma * sigma < np.inf
     what = (
         "'median' or a number from 1.5e-154 to 9.4e153, whose square and twice that "
         "are normal floats"
     )
     _check(name, sigma, ok, what, str)
+    return sigma
 
 
 def mmd_rbf(source, target, bandwidth="median"):
@@ -577,6 +581,15 @@ def _mmd_rbf(source, target, bandwidth, with_gradient=False):
     sigma = _fixed_bandwidth(bandwidth)
     m_s, m_t = s.shape[0], t.shape[0]
     x = np.vstack([s, t])
+    # A "median" pool whose largest |entry| is below 1/2 runs scaled up by
+    # 2^-k, k that entry's binary exponent, so its median sigma^2 stays a
+    # normal float. The median scales with the pool, so the value is
+    # bit-equal and the gradient comes back by one exact ldexp.
+    k = 0
+    if sigma is None:
+        k = min(np.frexp(max(x.max(), -x.min()))[1], 0)
+        if k:
+            np.ldexp(x, -k, out=x)
     norms = _sq_norms(x, lambda i: f"source row {i}" if i < m_s else f"target row {i - m_s}")
     step = max(1, BLOCK_ENTRIES // x.shape[0])
     # A pool that fits one kernel block builds it once, for the median and
@@ -609,4 +622,7 @@ def _mmd_rbf(source, target, bandwidth, with_gradient=False):
     grad = kw[:, None] * x
     grad -= kwx
     grad *= (-2.0 / (sigma * sigma)) * w[:, None]
-    return value, grad[:m_s], grad[m_s:]
+    grads = grad[:m_s], grad[m_s:]
+    if k:
+        _unscale_gradients(grads, k)
+    return value, *grads

@@ -92,10 +92,9 @@ class TrainConfig:
             _check_count(name, getattr(self, name))
         _check_seed(self.seed)
         _check("dwmd", self.dwmd, isinstance(self.dwmd, DwmdConfig), "a DwmdConfig")
-        ok = (isinstance(bw, str) and bw == "median") or (_is_real(bw) and 0.0 < bw < np.inf)
+        ok = (isinstance(bw, str) and bw == "median") or _is_real(bw)
         _check("mmd_bandwidth", bw, ok, "'median' or a finite number > 0")
-        if not isinstance(bw, str):
-            disc._check_bandwidth_scale("mmd_bandwidth", bw)
+        disc._fixed_bandwidth(bw, "mmd_bandwidth")
         trims = self.lam > 0.0 and self.regularizer in ("dwmd", "smd")
         ok = not trims or self.batch_size >= MIN_TRIMMING_BATCH
         what = f">= {MIN_TRIMMING_BATCH} per domain for trimmed-mean weighting"

@@ -368,6 +368,23 @@ class TestBandwidthScale:
         with pytest.raises(ValueError, match="^mmd_bandwidth must be 'median' or a number from"):
             TrainConfig(regularizer="mmd", mmd_bandwidth=sigma)
 
+    @pytest.mark.parametrize(
+        "sigma",
+        [1e-160, 1e-200, 1.0e-154, 1e200, 9.5e153, 10**400],
+        ids=["1e-160", "1e-200", "1.0e-154", "1e200", "9.5e153", "int 10**400"],
+    )
+    def test_train_config_refuses_what_mmd_rbf_refuses(self, sigma):
+        from dwmd.nettrain import TrainConfig
+
+        with pytest.raises(ValueError, match="^mmd_bandwidth must be 'median' or a"):
+            TrainConfig(regularizer="mmd", mmd_bandwidth=sigma)
+
+    @pytest.mark.parametrize("sigma", [1.5e-154, 9.4e153])
+    def test_train_config_accepts_the_range_ends(self, sigma):
+        from dwmd.nettrain import TrainConfig
+
+        assert TrainConfig(regularizer="mmd", mmd_bandwidth=sigma).mmd_bandwidth == sigma
+
     @pytest.mark.parametrize("sigma", [1.5e-154, 1e-100, 1e100, 9.4e153])
     def test_the_range_ends_give_a_finite_value_and_gradient(self, sigma):
         scale = min(sigma, 1e150)  # squared row norms stay finite
