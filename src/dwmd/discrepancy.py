@@ -34,14 +34,16 @@ gradients come from one power series pass over it, whose coefficient rows
 hold the source's and the target's side by side, and they are the two column
 halves of its output; else each side has its own pass. Horner's rule works
 entry by entry, so the gradients are bit-identical either way. cmd and
-mmd_rbf stop at the value and build no gradient. The MMD value and gradient
-are accumulated over blocks of rows of the pooled kernel matrix, at most
-BLOCK_ENTRIES entries each, so the (m_s + m_t)^2 matrix never exists.
+mmd_rbf stop at the value and build no gradient. The MMD kernel matrix of a
+pool of at most 1,024 rows (BLOCK_ENTRIES entries) is held as one matrix;
+any larger pool's value and gradient are accumulated over blocks of rows of
+the kernel, about MEDIAN_BLOCK_ENTRIES entries and at least 16 rows each
+(_row_step), so the (m_s + m_t)^2 matrix never exists.
 Its median bandwidth, median_heuristic_bandwidth, is taken over the pairs
-i < j of at most MEDIAN_ROWS pooled rows: a pool that fits one kernel block
-passes that block, whose pairs are gathered before it is exponentiated as the
-kernel; without a held block the median is selected exactly by counting the
-pairs' leading bits, one block of MEDIAN_BLOCK_ENTRIES entries at a time.
+i < j of at most MEDIAN_ROWS pooled rows: a held kernel matrix passes its
+pairs, gathered before it is exponentiated as the kernel; without one the
+median is selected exactly by counting the pairs' leading bits, over the
+same row blocks as the kernel's.
 """
 
 from dataclasses import dataclass, replace
@@ -76,13 +78,14 @@ DELTA_UNDERFLOW = 1e-15
 GRAD_CLIP = 1e6
 # Floor for the per-dimension widths of the CMD baseline.
 CMD_WIDTH_FLOOR = 1e-12
-# Entries of the largest block of MMD kernel rows held at once (8 MB).
+# Entries of the largest MMD pool built as one kernel matrix: 1,024 rows,
+# 8 MB.
 BLOCK_ENTRIES = 2**20
 # Pooled rows the MMD median heuristic runs on; above this a seeded subset
 # is used, so its selection runs over at most MEDIAN_ROWS^2 / 2 pairs.
 MEDIAN_ROWS = 2048
-# Entries of a block of squared distances in the counting selection of the
-# median (1 MB), well below one kernel block.
+# Entries of every other block of squared distances, of the median's
+# counting selection and of the MMD kernel alike (1 MB), at least 16 rows.
 MEDIAN_BLOCK_ENTRIES = BLOCK_ENTRIES // 8
 
 
@@ -474,14 +477,21 @@ def _sq_dists(x, rows=slice(None), norms=None):
     return np.maximum(sq, 0.0, out=sq)
 
 
+def _row_step(m):
+    """Rows of a block of squared distances over m pooled rows that are not
+    held as one matrix: MEDIAN_BLOCK_ENTRIES // m, and at least 16 rows, as
+    each block's product packs the whole pool, so a huge pool's products
+    stay few."""
+    return max(16, MEDIAN_BLOCK_ENTRIES // m)
+
+
 def _pair_blocks(x, norms):
-    """Each block of rows of the pooled rows x, at most MEDIAN_BLOCK_ENTRIES
-    entries, as (its squared distances to every row, the mask of its pairs
-    i < j). The last row has no pairs and is left out, so no block has one
-    row (a one-row product goes through gemv, whose sums may differ from the
-    whole product's)."""
+    """Each block of _row_step rows of the pooled rows x, as (its squared
+    distances to every row, the mask of its pairs i < j). The last row has no
+    pairs and is left out, so no block has one row (a one-row product goes
+    through gemv, whose sums may differ from the whole product's)."""
     m = x.shape[0]
-    step = MEDIAN_BLOCK_ENTRIES // m
+    step = _row_step(m)
     for start in range(0, m - 1, step):
         sq = _sq_dists(x, slice(start, start + step), norms)
         yield sq, ~np.tri(sq.shape[0], m, start, dtype=bool)
@@ -591,10 +601,12 @@ def _mmd_rbf(source, target, bandwidth, with_gradient=False):
         if k:
             np.ldexp(x, -k, out=x)
     norms = _sq_norms(x, lambda i: f"source row {i}" if i < m_s else f"target row {i - m_s}")
-    step = max(1, BLOCK_ENTRIES // x.shape[0])
     # A pool that fits one kernel block builds it once, for the median and
-    # the kernel alike.
-    kernel = _sq_dists(x, norms=norms) if step >= x.shape[0] else None
+    # the kernel alike; a larger one is walked in the median's row blocks.
+    m = x.shape[0]
+    held = m * m <= BLOCK_ENTRIES
+    step = m if held else _row_step(m)
+    kernel = _sq_dists(x, norms=norms) if held else None
     if sigma is None:
         sigma = median_heuristic_bandwidth(x, norms, kernel)
     # Over the pooled rows X with signed weights w (1/m_s source, -1/m_t
@@ -606,7 +618,7 @@ def _mmd_rbf(source, target, bandwidth, with_gradient=False):
     kw = np.empty_like(w)
     if with_gradient:
         wx, kwx = w[:, None] * x, np.empty_like(x)
-    for start in range(0, x.shape[0], step):
+    for start in range(0, m, step):
         rows = slice(start, start + step)
         if kernel is None:
             kernel = _sq_dists(x, rows, norms)

@@ -457,6 +457,60 @@ class TestBlockMmd:
         assert sigma == pytest.approx(all_pairs, rel=0.02)
 
 
+class TestMmdRowBlocks:
+    """One block rule for the MMD kernel: a pool of at most 1,024 rows is
+    one held matrix, a larger one is walked in the median's row blocks."""
+
+    @pytest.mark.parametrize(
+        "m_s, m_t, d", [(300, 300, 3), (512, 512, 3), (600, 425, 3), (1000, 1000, 3), (4200, 4100, 2)]
+    )
+    def test_kernel_blocks_cover_each_row_once(self, monkeypatch, m_s, m_t, d):
+        from dwmd import discrepancy
+        from dwmd.discrepancy import BLOCK_ENTRIES, MEDIAN_BLOCK_ENTRIES
+
+        sq_dists, calls = discrepancy._sq_dists, []
+
+        def recording(x, rows=slice(None), norms=None):
+            calls.append(range(x.shape[0])[rows])
+            return sq_dists(x, rows, norms)
+
+        monkeypatch.setattr(discrepancy, "_sq_dists", recording)
+        rng = np.random.default_rng(57)
+        mmd_rbf_with_gradient(rng.normal(size=(m_s, d)), rng.normal(0.4, 1.1, (m_t, d)), 0.9)
+        m = m_s + m_t
+        if m * m <= BLOCK_ENTRIES:
+            assert calls == [range(m)]
+            return
+        step = max(16, MEDIAN_BLOCK_ENTRIES // m)
+        if m > 8192:
+            assert step == 16  # the floor, above MEDIAN_BLOCK_ENTRIES // m
+        assert all(len(rows) == step for rows in calls[:-1])
+        assert 0 < len(calls[-1]) <= step
+        assert [i for rows in calls for i in rows] == list(range(m))
+
+    @pytest.mark.parametrize("bandwidth", [0.9, "median"])
+    @pytest.mark.parametrize("floor", [False, True])
+    def test_row_blocks_match_reference(self, monkeypatch, bandwidth, floor):
+        # The cli-csv pair's shape, 1000 + 1000 x 16. The 16-row floor only
+        # applies above 8,192 rows, where the three-block reference would
+        # hold about 0.4 GB, so it is reached here by a smaller block size
+        # (16,384 // 2,010 is 8 rows), which the median's blocks follow too.
+        from dwmd import discrepancy
+
+        m_t = 1000
+        if floor:
+            monkeypatch.setattr(discrepancy, "MEDIAN_BLOCK_ENTRIES", 2**14)
+            m_t = 1010  # 2,010 rows: the last 16-row block is partial
+        rng = np.random.default_rng(58)
+        s, t = rng.normal(size=(1000, 16)), rng.normal(0.3, 1.1, (m_t, 16))
+        value, g_s, g_t = mmd_rbf_with_gradient(s, t, bandwidth)
+        ref_value, ref_s, ref_t = reference_mmd(s, t, bandwidth)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        for got, ref in ((g_s, ref_s), (g_t, ref_t)):
+            atol = 1e-12 * np.max(np.abs(ref))
+            np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+
+
 class TestMmdSquaredNormOverflow:
     """Finite rows whose squared norms could overflow the squared distances
     raise a named MomentOverflowError, not a NaN or a silent bandwidth."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dwmd import moments
-from dwmd.discrepancy import cmd, cmd_with_gradient, dwmd_gradient, mmd_rbf_with_gradient
+from dwmd.discrepancy import cmd, cmd_with_gradient, dwmd_gradient, mmd_rbf, mmd_rbf_with_gradient
 from dwmd.harness import load_csv, save_csv
 from dwmd.moments import raw_moments
 from dwmd.nettrain import NetworkSpec, TrainConfig, evaluate, init_model, objective_gradient
@@ -121,6 +121,22 @@ def test_mmd_never_builds_the_pooled_matrix():
     pooled_matrix = 8 * (s.shape[0] + t.shape[0]) ** 2
     peak = peak_bytes(lambda: mmd_rbf_with_gradient(s, t, "median"))
     assert peak < pooled_matrix / 6
+
+
+@pytest.mark.parametrize("with_gradient", [False, True])
+@pytest.mark.parametrize("bandwidth", ["median", 1.0])
+@pytest.mark.parametrize("m_s, m_t, d", [(1000, 1000, 16), (1100, 1000, 4)])
+def test_mmd_above_one_block_walks_the_median_blocks(m_s, m_t, d, bandwidth, with_gradient):
+    # A pool above 1,024 rows builds its kernel in the median's 1 MB row
+    # blocks, so no 8 MB kernel block sets the peak: 4.2 to 4.9 MB at the
+    # median, below 2 MB at a fixed bandwidth.
+    from dwmd.discrepancy import BLOCK_ENTRIES
+
+    rng = np.random.default_rng(19)
+    s, t = rng.normal(size=(m_s, d)), rng.normal(0.5, 1.0, (m_t, d))
+    call = mmd_rbf_with_gradient if with_gradient else mmd_rbf
+    peak = peak_bytes(lambda: call(s, t, bandwidth))
+    assert peak < 0.6 * 8 * BLOCK_ENTRIES
 
 
 def test_median_bandwidth_holds_no_pooled_matrix():
