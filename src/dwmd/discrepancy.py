@@ -489,12 +489,15 @@ def _pair_blocks(x, norms):
     """Each block of _row_step rows of the pooled rows x, as (its squared
     distances to every row, the mask of its pairs i < j). The last row has no
     pairs and is left out, so no block has one row (a one-row product goes
-    through gemv, whose sums may differ from the whole product's)."""
+    through gemv, whose sums may differ from the whole product's). A block
+    is dropped here before the next is built, so one exists at a time when
+    the caller drops its references to it first."""
     m = x.shape[0]
     step = _row_step(m)
     for start in range(0, m - 1, step):
         sq = _sq_dists(x, slice(start, start + step), norms)
         yield sq, ~np.tri(sq.shape[0], m, start, dtype=bool)
+        sq = None  # so the next block is not built beside this one
 
 
 def median_heuristic_bandwidth(x, norms=None, sq=None):
@@ -528,16 +531,20 @@ def median_heuristic_bandwidth(x, norms=None, sq=None):
             top = block.view(np.uint64)[mask]
             top >>= 48
             counts += np.bincount(top.view(np.int64), minlength=1 << 16)
+            block = mask = top = None
         n = x.shape[0] * (x.shape[0] - 1) // 2
         ends = np.cumsum(counts)
         low, high = (int(b) for b in np.searchsorted(ends, [(n - 1) // 2, n // 2], side="right"))
+        below = int(ends[low] - counts[low])
+        counts = ends = None  # 1 MB of bucket counts that pass 2 does not read
         kept = []
         for block, mask in _pair_blocks(x, norms):
             bits = block.view(np.uint64)
             mask &= bits >= low << 48
             mask &= bits < (high + 1) << 48
             kept.append(block[mask])
-        pairs, below = np.concatenate(kept), int(ends[low] - counts[low])
+            block = mask = bits = None
+        pairs = np.concatenate(kept)
     # One partition finds the upper middle value, and for an even count the
     # lower one below it, averaged as np.median averages them.
     k = n // 2 - below

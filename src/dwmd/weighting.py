@@ -14,13 +14,15 @@ moves a trimmed mean only by rounding when no distances tie. The columns are
 trimmed in chunks of about as many entries as BLOCK_ROWS rows (a batch of up
 to BLOCK_ROWS rows is one chunk), each gathered BLOCK_ROWS rows at a time
 into one contiguous row per dimension, where the median, distances, cut and
-masked sum run with one distance buffer of the same size. A row of more than
-SORT_ROWS entries finds its median and its cut by two selections
-(introselect, through np.partition) in expected O(m) time. A shorter row, as
-in every training batch, is sorted once in the distance buffer: the median is
-its middle, and since the distances to the median fall and then rise along
-a sorted row, the cut is selected among its first and last n_drop + 1
-distances alone. The cut and the kept entries are the same either way. The
+masked sum run with one distance buffer of the same size. A chunk of a tall
+side has at least min(8, d // 8) columns: a cache line from d = 64 up, and
+below that so few that the chunk and its distance buffer hold at most a
+quarter of the side's columns. A row of more than SORT_ROWS entries finds
+its median and its cut by two selections (introselect, through
+np.partition) in expected O(m) time. A shorter row, as in every training
+batch, is sorted once in the distance buffer: the median is its middle, and
+since the distances to the median fall and then rise along a sorted row,
+the cut is selected among its first and last n_drop + 1 distances alone. The cut and the kept entries are the same either way. The
 two sides of a short pair (one shape, at most BLOCK_ROWS rows: every
 regularized training step) are trimmed in one chunk loop whose chunks
 gather the same columns of both sides and share one side's budget of
@@ -132,8 +134,11 @@ def _trimmed_means(x, alpha):
     if n_drop == 0:
         return tuple(side.mean(axis=0) for side in x)
     # Columns per side and chunk: about as many entries in all as BLOCK_ROWS
-    # rows of one side, and at least a cache line of 8 once d >= 32.
-    width = min(d, max(BLOCK_ROWS * d // (len(x) * m), min(8, d // 4), 1))
+    # rows of one side, and at least a cache line of 8 once d >= 64. Below
+    # that the floor is d // 8, so the chunk and its distance buffer hold at
+    # most a quarter of a side's columns (at 10k x 32, 4 columns: 0.64 MB
+    # in all per side).
+    width = min(d, max(BLOCK_ROWS * d // (len(x) * m), min(8, d // 8), 1))
     # One contiguous row per dimension: median and partition run along it.
     chunk, dist = np.empty((2, len(x) * width, m))
     sums = np.empty((len(x), d))

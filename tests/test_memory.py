@@ -228,3 +228,28 @@ def test_a_deep_step_drops_each_slope_before_the_next_delta(regularizer, limit):
     # product, the step peaked at 6.27x (dwmd) and 2.76x (none, which passes
     # the source rows alone); dropped, it reads 5.27x and 2.26x.
     assert _step_peak((2, 256, 256, 2), (0,), regularizer, 512, 20) < limit
+
+
+def test_a_tall_pair_trims_a_quarter_of_each_side_at_a_time(monkeypatch):
+    # At 10k x 32 a chunk has d // 8 = 4 columns: the chunk and its distance
+    # buffer hold a quarter of a side's columns, and the two sides run at
+    # once on two CPUs, so the profile peaks at about half of one side
+    # (0.54x). Chunks of 8 columns, a floor of d // 4, peaked at 1.07x.
+    monkeypatch.setattr(moments, "_CPUS", 2)
+    rng = np.random.default_rng(1)
+    s, t = rng.normal(size=(10_000, 32)), rng.normal(0.3, 1.2, (10_000, 32))
+    peak = peak_bytes(lambda: weight_profile(s, t, 0.1, "scalar", 0.05))
+    assert peak < 0.6 * s.nbytes
+
+
+@pytest.mark.parametrize("rows", [1000, 600])
+def test_the_mmd_median_holds_one_distance_block_at_a_time(rows):
+    # Each 1 MB block of squared distances, its pair mask and the bits taken
+    # from it are dropped before the next block is built, and the bucket
+    # counts before the middle buckets are gathered: 3.52 MB (1000 rows per
+    # side) and 3.39 MB (600). Held into the next block, they read 4.88 and
+    # 4.17 MB.
+    rng = np.random.default_rng(19)
+    s, t = rng.normal(size=(rows, 16)), rng.normal(0.5, 1.0, (rows, 16))
+    peak = peak_bytes(lambda: mmd_rbf_with_gradient(s, t, "median"))
+    assert peak < 3.8e6

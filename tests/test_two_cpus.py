@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dwmd import discrepancy, moments
+from dwmd import discrepancy, moments, weighting
 from dwmd.discrepancy import DwmdConfig, cmd_with_gradient, dwmd, dwmd_gradient, dwmd_with_gradient
 from dwmd.moments import BLOCK_ROWS, MomentOverflowError
 from dwmd.weighting import _trimmed_means, weight_profile
@@ -73,6 +73,29 @@ def test_trimmed_means_over_uneven_column_chunks(cpus, d, layout, integers):
         np.testing.assert_array_equal(_trimmed_means(x, 0.1), means)
     profile = weight_profile(s, t, 0.1, "scalar", 0.05)
     np.testing.assert_array_equal(profile.tau, np.abs(expected[0] - expected[1]))
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_trimmed_means_over_a_quarter_of_the_columns_at_a_time(cpus, layout, monkeypatch):
+    # At 9000 x 44 the chunk budget, 1024 * 44 // 9000, and the floor,
+    # 44 // 8, are both 5 columns (a floor of d // 4 made them 8), so each
+    # side is trimmed in eight chunks of 5 columns and a last one of 4.
+    widths = []
+    kept_sums = weighting._kept_sums
+
+    def recording(cols, dist, n_keep):
+        widths.append(cols.shape[0])
+        return kept_sums(cols, dist, n_keep)
+
+    monkeypatch.setattr(weighting, "_kept_sums", recording)
+    s = sample(9000, 44, layout)
+    t = s * 1.5 + 0.25
+    expected = [reference_trimmed_means(x, 0.1) for x in (s, t)]
+    profile = weight_profile(s, t, 0.1, "scalar", 0.05)
+    np.testing.assert_array_equal(profile.tau, np.abs(expected[0] - expected[1]))
+    for x, means in zip((s, t), expected):
+        np.testing.assert_array_equal(_trimmed_means(x, 0.1).view(np.uint64), means.view(np.uint64))
+    assert sorted(widths) == sorted(4 * ([5] * 8 + [4]))
 
 
 def side(rows, *args):
