@@ -500,12 +500,12 @@ def _pair_blocks(x, norms):
         sq = None  # so the next block is not built beside this one
 
 
-def median_heuristic_bandwidth(x, norms=None, sq=None):
+def median_heuristic_bandwidth(x, norms=None, sq=None, zero=1.0):
     """The median Euclidean distance over the pairs i < j of the pooled rows
-    x, or 1.0 when it is 0 (all points coincide). norms, the squared row
-    norms of x, are computed by _sq_norms unless passed. Above MEDIAN_ROWS
-    rows the pairs are those of MEDIAN_ROWS rows drawn without replacement
-    by default_rng(0) and kept in row order.
+    x, or zero (1.0 unless passed) when it is 0 (more than half the pairs
+    coincide). norms, the squared row norms of x, are computed by _sq_norms
+    unless passed. Above MEDIAN_ROWS rows the pairs are those of MEDIAN_ROWS
+    rows drawn without replacement by default_rng(0) and kept in row order.
 
     sq, the squared distances of x in one matrix when the caller holds them
     (the one kernel block of _mmd_rbf), has its pairs gathered at once and is
@@ -550,7 +550,7 @@ def median_heuristic_bandwidth(x, norms=None, sq=None):
     k = n // 2 - below
     pairs.partition(k)
     med = float(np.sqrt(pairs[k] if n % 2 else (pairs[:k].max() + pairs[k]) / 2))
-    return med if med > 0.0 else 1.0
+    return med if med > 0.0 else zero
 
 
 def _fixed_bandwidth(bandwidth, name="bandwidth"):
@@ -598,16 +598,14 @@ def _mmd_rbf(source, target, bandwidth, with_gradient=False):
     sigma = _fixed_bandwidth(bandwidth)
     m_s, m_t = s.shape[0], t.shape[0]
     x = np.vstack([s, t])
-    # A "median" pool whose largest |entry| is below 1/2 runs scaled up by
-    # 2^-k, k that entry's binary exponent, so its median sigma^2 stays a
-    # normal float. The median scales with the pool, so the value is
-    # bit-equal and the gradient comes back by one exact ldexp.
-    k = 0
-    if sigma is None:
-        k = min(np.frexp(max(x.max(), -x.min()))[1], 0)
-        if k:
-            np.ldexp(x, -k, out=x)
     norms = _sq_norms(x, lambda i: f"source row {i}" if i < m_s else f"target row {i - m_s}")
+    # Once the bound is checked on the inputs' scale, every "median" pool runs
+    # scaled by 2^-k, k its largest |entry|'s binary exponent; the median scales
+    # with it, so the value is bit-equal and the gradient returns by one ldexp.
+    k = 0 if sigma is not None else np.frexp(max(x.max(), -x.min()))[1]
+    if k:
+        np.ldexp(x, -k, out=x)
+        norms = np.einsum("ij,ij->i", x, x)
     # A pool that fits one kernel block builds it once, for the median and
     # the kernel alike; a larger one is walked in the median's row blocks.
     m = x.shape[0]
@@ -615,7 +613,11 @@ def _mmd_rbf(source, target, bandwidth, with_gradient=False):
     step = m if held else _row_step(m)
     kernel = _sq_dists(x, norms=norms) if held else None
     if sigma is None:
-        sigma = median_heuristic_bandwidth(x, norms, kernel)
+        sigma = median_heuristic_bandwidth(x, norms, kernel, zero=0.0)
+    if not sigma:  # a 0 median falls back to sigma = 1, on the inputs' scale
+        sigma, k, x, kernel = 1.0, 0, np.vstack([s, t]), None
+        norms = np.einsum("ij,ij->i", x, x)
+        kernel = _sq_dists(x, norms=norms) if held else None
     # Over the pooled rows X with signed weights w (1/m_s source, -1/m_t
     # target) the value is w^T K w; since d k(x, y)/dx = -(x - y)/sigma^2
     # k(x, y), the gradient is -(2/sigma^2) w * ((K w) * X - K (w * X)).

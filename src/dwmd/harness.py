@@ -17,7 +17,9 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .discrepancy import DwmdConfig
-from .moments import _check, _check_count, _check_real, _check_seed, _finite_vector, _sequence
+from .moments import (
+    _check, _check_count, _check_real, _check_seed, _finite_vector, _sample_matrix, _sequence,
+)
 from .nettrain import NetworkSpec, TrainConfig, TrainingDiverged, train_uda
 
 __all__ = [
@@ -327,10 +329,18 @@ def _check_finite(path, matrix, label_idx):
 
 def save_csv(path, matrix, labels=None):
     """Write a sample matrix (optionally with an integer label column named
-    "label") in the format load_csv reads back."""
-    matrix = np.asarray(matrix, dtype=np.float64)
+    "label") in the format load_csv reads back. A ValueError refuses, before the
+    file is opened, a matrix outside validate_samples' rule or labels that are
+    not one integer (not a float or bool) within int64 per row."""
+    matrix = _sample_matrix(matrix, "matrix")
     header = [f"f{j}" for j in range(matrix.shape[1])]
     if labels is not None:
+        labels = np.asarray(labels)
+        ok = labels.shape == matrix.shape[:1] and (
+            labels.dtype.kind == "i" or labels.dtype.kind == "u" and labels.max() < 2**63
+        )
+        what = f"one integer within int64 per matrix row ({len(matrix)})"
+        _check("labels", f"dtype {labels.dtype}, shape {labels.shape}", ok, what, str)
         header.append("label")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)

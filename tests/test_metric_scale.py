@@ -1,9 +1,10 @@
 """MMD at the median bandwidth, and CMD with fixed widths, at any input scale.
 
-A "median" MMD pool whose largest |entry| is below 1/2 runs scaled up by a
-power of two, so a pair scaled by 2^e, where that scaling is exact, gets the
-unit-scale value bit for bit and gradients exactly 2^-e as large; where such
-a gradient leaves the float64 range, a named MomentOverflowError is raised.
+Every "median" MMD pool runs scaled by a power of two, so a pair scaled by
+2^e, where that scaling is exact, gets the unit-scale value bit for bit and
+gradients exactly 2^-e as large; where such a gradient leaves the float64
+range, or a squared row norm on the inputs' scale passes float64 max / 4, a
+named MomentOverflowError is raised.
 A fixed CMD width whose k-th power is not a finite normal float is refused
 by name before any numpy warning.
 """
@@ -60,6 +61,43 @@ def test_mmd_median_gradient_past_float64_is_a_named_error(pair):
     s, t = (np.ldexp(x, -1040) for x in pair)
     with pytest.raises(MomentOverflowError, match="^non-finite source gradient at dimension 0: "):
         quietly(mmd_rbf_with_gradient, s, t)
+
+
+def assert_unit_scale_results(s, t, e):
+    """mmd_rbf and mmd_rbf_with_gradient at "median" on 2^e (s, t) give the
+    unit-scale value bit for bit and gradients exactly 2^-e times its own."""
+    value, g_s, g_t = mmd_rbf_with_gradient(s, t)
+    assert quietly(mmd_rbf, scaled(s, e), scaled(t, e)) == value
+    got, h_s, h_t = quietly(mmd_rbf_with_gradient, scaled(s, e), scaled(t, e))
+    assert got == value
+    assert h_s.tobytes() == np.ldexp(g_s, -e).tobytes()
+    assert h_t.tobytes() == np.ldexp(g_t, -e).tobytes()
+
+
+@pytest.mark.parametrize("e", [506, 507, 508])
+def test_mmd_median_near_the_top_of_the_range_is_exact(pair, e):
+    # Within three exponents of the squared-norm bound the unscaled median's
+    # factors -1/(2 sigma^2) and (-2/sigma^2) w are subnormal.
+    assert_unit_scale_results(*pair, e)
+
+
+@pytest.mark.parametrize("call", [mmd_rbf, mmd_rbf_with_gradient])
+def test_mmd_median_bound_is_checked_on_the_inputs_scale(pair, call):
+    # At 2^509 a squared row norm passes float64 max / 4; the scaled pool's
+    # norms would not, so this pins the check to the inputs as given.
+    s, t = (scaled(x, 509) for x in pair)
+    message = "^squared norm of source row 1 is above float64 max / 4; "
+    with pytest.raises(MomentOverflowError, match=message):
+        quietly(call, s, t)
+
+
+@pytest.mark.parametrize("m_s, m_t", [(600, 424), (1000, 1000)])
+def test_mmd_median_near_the_top_of_the_range_is_exact_in_every_layout(m_s, m_t):
+    # 600 + 424 rows: one held kernel matrix; 1000 + 1000: kernel row blocks
+    # and the median selected by counting leading bits.
+    rng = np.random.default_rng(11)
+    s, t = rng.standard_normal((m_s, 16)), 1.2 * rng.standard_normal((m_t, 16)) + 0.3
+    assert_unit_scale_results(s, t, 507)
 
 
 @given(
